@@ -7,6 +7,10 @@
 //! `Trace::to_jsonl` would emit — into an FNV-1a-64 running hash, so
 //! "byte-identical telemetry" collapses to one `u64` comparison while
 //! remaining sensitive to any reordering, insertion or field change.
+//! The bytes come from the streaming encoder
+//! (`TelemetryEvent::write_json`), written into one line buffer the
+//! sink reuses, so hashing an event allocates nothing once the buffer
+//! has grown to the longest line.
 
 use amoeba_telemetry::{TelemetryEvent, TelemetrySink};
 
@@ -26,14 +30,17 @@ pub fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
 
 /// A [`TelemetrySink`] that hashes instead of storing.
 ///
-/// Each event contributes the bytes of `event.to_json().compact()`
-/// plus a trailing newline — the exact line `Trace::to_jsonl` writes —
-/// so a `DigestSink` digest equals [`DigestSink::of_jsonl`] over the
-/// equivalent materialised trace.
-#[derive(Debug, Clone, Copy)]
+/// Each event contributes the bytes `TelemetryEvent::write_json` writes
+/// (identical to `event.to_json().compact()`) plus a trailing newline —
+/// the exact line `Trace::to_jsonl` writes — so a `DigestSink` digest
+/// equals [`DigestSink::of_jsonl`] over the equivalent materialised
+/// trace. The line is encoded into a buffer kept across events and
+/// folded through [`fnv1a`]; no `Value` tree or `String` is built.
+#[derive(Debug, Clone)]
 pub struct DigestSink {
     state: u64,
     events: u64,
+    line: Vec<u8>,
 }
 
 impl DigestSink {
@@ -42,6 +49,7 @@ impl DigestSink {
         DigestSink {
             state: FNV_OFFSET,
             events: 0,
+            line: Vec::new(),
         }
     }
 
@@ -74,9 +82,10 @@ impl TelemetrySink for DigestSink {
     }
 
     fn record(&mut self, event: TelemetryEvent) {
-        let line = event.to_json().compact();
-        self.state = fnv1a(self.state, line.as_bytes());
-        self.state = fnv1a(self.state, b"\n");
+        self.line.clear();
+        event.write_json(&mut self.line);
+        self.line.push(b'\n');
+        self.state = fnv1a(self.state, &self.line);
         self.events += 1;
     }
 }

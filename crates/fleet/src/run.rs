@@ -173,8 +173,11 @@ impl CellSink {
 /// What each cell's telemetry feeds during execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SinkMode {
-    /// Discard telemetry; [`FleetOutcome::digest`] is 0. The fast path
-    /// for wall-clock measurements — events are never serialised.
+    /// Discard telemetry. Every cell contributes a zero digest, so
+    /// [`FleetOutcome::digest`] is the fold of one zero per cell: a
+    /// constant that depends only on the cell count, not on the seed or
+    /// the run. The fast path for wall-clock measurements — events are
+    /// never serialised.
     Quiet,
     /// Hash every event's JSONL bytes into the run digest.
     Digest,
@@ -248,9 +251,11 @@ impl FleetRun {
         self.execute(threads, SinkMode::Digest).0
     }
 
-    /// Execute with telemetry discarded (`digest == 0`): the fast path
-    /// for wall-clock measurements, where per-event serialisation would
-    /// otherwise dominate and mask the simulation's own scaling.
+    /// Execute with telemetry discarded: the fast path for wall-clock
+    /// measurements, where per-event serialisation would otherwise
+    /// dominate and mask the simulation's own scaling. The digest then
+    /// carries no information: it is the fold of one zero per cell,
+    /// the same for every seed.
     pub fn run_quiet(self, threads: usize) -> FleetOutcome {
         self.execute(threads, SinkMode::Quiet).0
     }

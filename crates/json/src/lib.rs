@@ -8,9 +8,11 @@
 //! is deliberately small: object keys are strings, numbers are `f64` or
 //! `u64`/`i64`, and everything is eagerly owned.
 
+mod emit;
 pub mod parse;
 pub mod value;
 
+pub use emit::{push_escaped, push_f64, push_u64};
 pub use parse::{parse, ParseError};
 pub use value::{Number, Value};
 

@@ -30,21 +30,18 @@ impl std::error::Error for ParseError {}
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -57,7 +54,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -76,7 +73,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -185,13 +182,14 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 code point (input is a &str, so
-                    // the byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte. Those are ASCII, so both ends of the
+                    // run are char boundaries of the source text.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -248,7 +246,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        // Only ASCII digits, signs, '.' and exponents were consumed.
+        let text = &self.text[start..self.pos];
         if !is_float {
             if neg {
                 if let Ok(n) = text.parse::<i64>() {
@@ -287,6 +286,14 @@ mod tests {
         assert_eq!(v["a"][0].as_u64(), Some(1));
         assert!(v["a"][1]["b"].is_null());
         assert_eq!(v["c"], "é");
+    }
+
+    #[test]
+    fn multi_byte_utf8_next_to_escapes() {
+        let v = parse(r#""é\"ü\n€\\😀\u00e9x""#).unwrap();
+        assert_eq!(v, "é\"ü\n€\\😀éx");
+        let round = Value::from("名前\t\"ß\"\u{1}😀");
+        assert_eq!(parse(&round.compact()).unwrap(), round);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::emit::{self, push_escaped, push_f64, push_i64, push_u64};
+
 /// A JSON number: integers are kept exact, everything else is `f64`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Number {
@@ -38,16 +40,7 @@ impl fmt::Display for Number {
         match self {
             Number::U64(n) => write!(f, "{n}"),
             Number::I64(n) => write!(f, "{n}"),
-            // `{}` on f64 prints the shortest representation that round
-            // trips, but drops the decimal point for integral values;
-            // keep JSON-valid output either way (1.0 prints as "1.0").
-            Number::F64(x) => {
-                if x.fract() == 0.0 && x.abs() < 1e15 {
-                    write!(f, "{x:.1}")
-                } else {
-                    write!(f, "{x}")
-                }
-            }
+            Number::F64(x) => emit::write_f64(f, *x),
         }
     }
 }
@@ -141,35 +134,39 @@ impl Value {
 
     /// Render compactly (no whitespace).
     pub fn compact(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        self.render(None)
     }
 
     /// Render with two-space indentation.
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
+        self.render(Some(2))
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let nl = |out: &mut String, d: usize| {
+    fn render(&self, indent: Option<usize>) -> String {
+        let mut out = Vec::new();
+        self.write(&mut out, indent, 0);
+        String::from_utf8(out).expect("the printer writes only UTF-8")
+    }
+
+    fn write(&self, out: &mut Vec<u8>, indent: Option<usize>, depth: usize) {
+        let nl = |out: &mut Vec<u8>, d: usize| {
             if let Some(w) = indent {
-                out.push('\n');
-                out.push_str(&" ".repeat(w * d));
+                out.push(b'\n');
+                out.resize(out.len() + w * d, b' ');
             }
         };
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Number(n) => out.push_str(&n.to_string()),
-            Value::String(s) => write_escaped(out, s),
+            Value::Null => out.extend_from_slice(b"null"),
+            Value::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+            Value::Number(Number::U64(n)) => push_u64(out, *n),
+            Value::Number(Number::I64(n)) => push_i64(out, *n),
+            Value::Number(Number::F64(x)) => push_f64(out, *x),
+            Value::String(s) => push_escaped(out, s),
             Value::Array(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     nl(out, depth + 1);
                     v.write(out, indent, depth + 1);
@@ -177,47 +174,29 @@ impl Value {
                 if !items.is_empty() {
                     nl(out, depth);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Value::Object(pairs) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     nl(out, depth + 1);
-                    write_escaped(out, k);
-                    out.push(':');
+                    push_escaped(out, k);
+                    out.push(b':');
                     if indent.is_some() {
-                        out.push(' ');
+                        out.push(b' ');
                     }
                     v.write(out, indent, depth + 1);
                 }
                 if !pairs.is_empty() {
                     nl(out, depth);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl fmt::Display for Value {
@@ -392,5 +371,7 @@ mod tests {
     fn escaping() {
         let v = Value::from("a\"b\\c\nd");
         assert_eq!(v.compact(), r#""a\"b\\c\nd""#);
+        let v = Value::from("\u{1}\té");
+        assert_eq!(v.compact(), r#""\u0001\té""#);
     }
 }

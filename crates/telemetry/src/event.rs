@@ -2,7 +2,9 @@
 //!
 //! Every event is flat, owns its data, and round-trips through one JSON
 //! object with a `"type"` discriminator — see DESIGN.md §"Telemetry
-//! event schema" for the full schema.
+//! event schema" for the full schema. This module holds the `Value`
+//! tree codec; the streaming encoder that writes JSON lines is in
+//! `encode.rs`.
 
 use amoeba_json::{json, Value};
 use amoeba_sim::SimTime;
@@ -396,7 +398,10 @@ fn get_triple(v: &Value, key: &str) -> Result<[f64; 3], DecodeError> {
 }
 
 impl TelemetryEvent {
-    /// Encode as one JSON object (one line of the JSON-lines export).
+    /// Encode as one JSON object tree: the form [`TelemetryEvent::from_json`]
+    /// decodes. JSON-lines output is written by
+    /// [`TelemetryEvent::write_json`], whose bytes equal this tree's
+    /// `compact()` rendering; this form is its test oracle.
     pub fn to_json(&self) -> Value {
         match self {
             TelemetryEvent::RunStarted {

@@ -27,8 +27,12 @@
 //! [`Trace`], which offers typed iterators, [`Trace::switch_spans`],
 //! [`Trace::summary`] and a JSON-lines serialisation
 //! ([`Trace::to_jsonl`] / [`Trace::from_jsonl`]). The line format is
-//! documented in `DESIGN.md` ("Telemetry event schema").
+//! documented in `DESIGN.md` ("Telemetry event schema"). Lines are
+//! written by one streaming encoder, [`TelemetryEvent::write_json`],
+//! straight into a byte buffer; [`TelemetryEvent::to_json`] is the tree
+//! form the decoder reads.
 
+mod encode;
 pub mod event;
 pub mod sink;
 pub mod trace;

@@ -423,12 +423,12 @@ impl Trace {
 
     /// Serialise as JSON lines: one compact event object per line.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         for e in &self.events {
-            out.push_str(&e.to_json().compact());
-            out.push('\n');
+            e.write_json(&mut out);
+            out.push(b'\n');
         }
-        out
+        String::from_utf8(out).expect("the encoder writes only UTF-8")
     }
 
     /// Parse a JSON-lines dump produced by [`Trace::to_jsonl`]. Blank

@@ -64,4 +64,10 @@ echo "$smoke" | grep -q "sim_hot_loop/amoeba_day .* median" || {
   exit 1
 }
 
+# perfbench/ is a package of its own, outside the workspace, so nothing
+# above compiles it; a change to a public API it uses (e.g. DigestSink)
+# would otherwise break the benchmark silently.
+echo "== perfbench tests =="
+cargo test --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "tier1: all green"

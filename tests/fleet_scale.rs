@@ -5,10 +5,11 @@
 //! asserts the run digest (an FNV-1a-64 fold of every cell's JSONL
 //! telemetry bytes) is identical: the executable form of the claim
 //! that thread count and interleaving never reach simulation state.
+//! It also asserts the digest's pinned value.
 //!
 //! The `#[ignore]`d test is the acceptance run: the full 1,000-service
-//! × 7-day fleet, digest-compared across 1/2/4/8 worker threads, with
-//! wall-clocks printed. Run it explicitly:
+//! × 7-day fleet, digest-compared across 1/2/4/8 worker threads and
+//! against its pinned value, with wall-clocks printed. Run it explicitly:
 //!
 //! ```text
 //! cargo test --release --test fleet_scale -- --ignored --nocapture
@@ -29,10 +30,17 @@ fn mid_fleet() -> FleetSpec {
         .peak_floor(0.5)
 }
 
+/// The mid fleet's digest, pinned (see `FLEET_WEEK_DIGEST`).
+const MID_FLEET_DIGEST: u64 = 0xb8f2_4f20_f0e3_b744;
+
 #[test]
 fn mid_fleet_digest_identical_across_threads() {
     let base = mid_fleet().build().run(1);
-    assert!(base.digest != 0, "digest never folded any events");
+    assert_eq!(
+        base.digest, MID_FLEET_DIGEST,
+        "mid-fleet digest changed: {:#018x}",
+        base.digest
+    );
     assert!(base.totals.submitted > 0, "fleet carried no load");
     assert!(base.epochs > 1, "exchange never ran");
     for threads in [2usize, 4] {
@@ -62,6 +70,10 @@ fn mid_fleet_exchange_reports_pressure() {
     );
 }
 
+/// The fleet week's digest, pinned: agreement across thread counts
+/// alone would not notice a behaviour change that every count shares.
+const FLEET_WEEK_DIGEST: u64 = 0xe439_01c4_926d_c3c7;
+
 /// The acceptance run: 1,000 services, 7 diurnal days, digest-identical
 /// at 1, 2, 4 and 8 worker threads. Prints per-thread wall-clocks so
 /// the scaling record in results/BENCH_simcore.json can be re-measured.
@@ -89,5 +101,10 @@ fn fleet_week_digest_identical_across_threads() {
     assert!(
         digests.windows(2).all(|w| w[0] == w[1]),
         "digests diverged across thread counts: {digests:#x?}"
+    );
+    assert_eq!(
+        digests[0], FLEET_WEEK_DIGEST,
+        "fleet week digest changed: {:#018x}",
+        digests[0]
     );
 }
