@@ -34,9 +34,7 @@ pub mod runtime;
 pub use baselines::SystemVariant;
 pub use controller::{ControllerConfig, Decision, DeployMode, DeploymentController};
 pub use engine::{EngineAction, HybridEngine, RouteTarget};
-pub use monitor::{
-    median_filter, sample_period_lower_bound, ContentionMonitor, Monitor, MonitorConfig,
-};
+pub use monitor::{median_filter, sample_period_lower_bound, ContentionMonitor, MonitorConfig};
 pub use monitor_nd::NdContentionMonitor;
 pub use runtime::{
     BreakdownMeans, EpochRun, Experiment, ExperimentBuilder, RunResult, ServiceResult,

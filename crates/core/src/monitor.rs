@@ -74,29 +74,6 @@ impl Default for MonitorConfig {
     }
 }
 
-/// The common surface of the contention monitors: the paper's fixed
-/// three-meter [`ContentionMonitor`] and the production-oriented
-/// [`NdContentionMonitor`] over arbitrary dimensions. Everything the
-/// runtime plumbs through a monitor — meter observations, heartbeat
-/// sample periods, pressure and weight readout — goes through here, so
-/// new monitor variants slot in without touching the kernel.
-pub trait Monitor {
-    /// Number of metered resource dimensions.
-    fn dimensions(&self) -> usize;
-    /// Record one observed meter-query latency for dimension `resource`.
-    fn observe_meter_latency(&mut self, resource: usize, latency_s: f64);
-    /// Deliver one heartbeat package (end of an Eq. 8 sample period):
-    /// append the current pressure vector to the PCA window and refresh
-    /// the Eq. 6 weights.
-    fn heartbeat(&mut self);
-    /// Current pressure estimate, one entry per dimension.
-    fn pressure_vec(&self) -> Vec<f64>;
-    /// Current Eq. 6 weights, one entry per dimension.
-    fn weight_vec(&self) -> Vec<f64>;
-    /// Number of heartbeat samples currently in the PCA window.
-    fn heartbeat_count(&self) -> usize;
-}
-
 /// Median of the last `window` raw samples in `buf` after pushing
 /// `raw` (the shared pre-EWMA filter of both monitor variants; even
 /// counts average the middle pair). `window <= 1` bypasses the buffer
@@ -165,8 +142,7 @@ impl ContentionMonitor {
     /// meter latencies inverted through the Fig. 8 curves. Resources
     /// with no observation yet read as zero pressure.
     pub fn pressures(&self) -> [f64; 3] {
-        let p = self.inner.pressures();
-        [p[0], p[1], p[2]]
+        std::array::from_fn(|r| self.inner.pressure(r))
     }
 
     /// Deliver one heartbeat package (end of a sample period): the
@@ -193,27 +169,6 @@ impl ContentionMonitor {
     /// Number of heartbeat samples currently in the PCA window.
     pub fn heartbeat_count(&self) -> usize {
         self.inner.heartbeat_count()
-    }
-}
-
-impl Monitor for ContentionMonitor {
-    fn dimensions(&self) -> usize {
-        3
-    }
-    fn observe_meter_latency(&mut self, resource: usize, latency_s: f64) {
-        ContentionMonitor::observe_meter_latency(self, resource, latency_s);
-    }
-    fn heartbeat(&mut self) {
-        ContentionMonitor::heartbeat(self);
-    }
-    fn pressure_vec(&self) -> Vec<f64> {
-        self.pressures().to_vec()
-    }
-    fn weight_vec(&self) -> Vec<f64> {
-        self.weights().to_vec()
-    }
-    fn heartbeat_count(&self) -> usize {
-        ContentionMonitor::heartbeat_count(self)
     }
 }
 
@@ -389,33 +344,28 @@ mod tests {
     }
 
     #[test]
-    fn monitor_trait_objects_unify_fixed_and_nd() {
+    fn fixed_and_nd_monitors_give_the_same_readouts() {
         use crate::monitor_nd::NdContentionMonitor;
         let nd_meters = curves()
             .iter()
             .enumerate()
             .map(|(i, c)| (format!("r{i}"), c.clone()))
             .collect();
-        let mut monitors: Vec<Box<dyn Monitor>> = vec![
-            Box::new(ContentionMonitor::new(MonitorConfig::default(), curves())),
-            Box::new(NdContentionMonitor::new(
-                MonitorConfig::default(),
-                nd_meters,
-            )),
-        ];
-        for m in &mut monitors {
-            assert_eq!(m.dimensions(), 3);
-            for _ in 0..50 {
-                m.observe_meter_latency(0, 0.05 * 1.8);
-            }
-            m.heartbeat();
+        let mut fixed = ContentionMonitor::new(MonitorConfig::default(), curves());
+        let mut nd = NdContentionMonitor::new(MonitorConfig::default(), nd_meters);
+        assert_eq!(nd.dimensions(), 3);
+        for _ in 0..50 {
+            fixed.observe_meter_latency(0, 0.05 * 1.8);
+            nd.observe_meter_latency(0, 0.05 * 1.8);
         }
-        // Same inputs through either implementation: same readouts.
-        let p0 = monitors[0].pressure_vec();
-        let p1 = monitors[1].pressure_vec();
-        assert_eq!(p0, p1);
-        assert_eq!(monitors[0].weight_vec(), monitors[1].weight_vec());
-        assert_eq!(monitors[0].heartbeat_count(), 1);
+        fixed.heartbeat();
+        nd.heartbeat();
+        // Same inputs through either monitor: same readouts.
+        assert_eq!(fixed.pressures().to_vec(), nd.pressures());
+        assert_eq!(fixed.weights(), nd.weights());
+        assert_eq!(fixed.smoothed_latencies(), nd.smoothed_latencies());
+        assert_eq!(fixed.heartbeat_count(), 1);
+        assert_eq!(nd.heartbeat_count(), 1);
     }
 
     #[test]

@@ -74,6 +74,11 @@ impl Matrix {
         self.cols
     }
 
+    /// Borrow the whole matrix as one flat row-major slice.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Borrow row `i` as a slice.
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]

@@ -9,7 +9,6 @@
 
 use crate::eigen::symmetric_eigen;
 use crate::matrix::Matrix;
-use crate::stats::{column_means, column_std_devs, covariance_matrix, standardize};
 
 /// PCA configuration.
 ///
@@ -70,31 +69,34 @@ impl Pca {
     /// `None` when there are fewer than two samples or no variables, or
     /// when the data contain non-finite values.
     pub fn fit(&self, data: &Matrix) -> Option<PcaModel> {
-        if data.rows() < 2 || data.cols() == 0 {
+        self.fit_rows(data.as_slice(), data.cols())
+    }
+
+    /// [`Pca::fit`] over a flat row-major slice of `cols` columns, so a
+    /// caller that keeps its samples in one buffer fits them in place.
+    /// The column means and deviations are computed once and passed on,
+    /// and no `rows × cols` intermediate is built; every sum still runs
+    /// over the rows in order, so the model is bit-identical to the
+    /// [`column_means`](crate::column_means) /
+    /// [`standardize`](crate::standardize) /
+    /// [`covariance_matrix`](crate::covariance_matrix) composition.
+    /// Panics if `data.len()` is not a multiple of `cols`.
+    pub fn fit_rows(&self, data: &[f64], cols: usize) -> Option<PcaModel> {
+        if cols == 0 {
             return None;
         }
-        for i in 0..data.rows() {
-            for j in 0..data.cols() {
-                if !data[(i, j)].is_finite() {
-                    return None;
-                }
-            }
+        assert_eq!(data.len() % cols, 0, "ragged row-major data");
+        if data.len() / cols < 2 || !data.iter().all(|x| x.is_finite()) {
+            return None;
         }
-        let means = column_means(data);
-        let stds = column_std_devs(data);
-        let prepared = if self.standardize {
-            standardize(data)
+        let means = means_of(data, cols);
+        // `x / 1.0` is exact, so a divisor of 1 centres only.
+        let scales = if self.standardize {
+            scales_of(data, cols, &means)
         } else {
-            // Centre only.
-            let mut c = Matrix::zeros(data.rows(), data.cols());
-            for i in 0..data.rows() {
-                for j in 0..data.cols() {
-                    c[(i, j)] = data[(i, j)] - means[j];
-                }
-            }
-            c
+            vec![1.0; cols]
         };
-        let cov = covariance_matrix(&prepared);
+        let cov = prepared_covariance(data, cols, &means, &scales);
         let eig = symmetric_eigen(&cov)?;
         // Numerical noise can push tiny eigenvalues slightly negative.
         let eigenvalues: Vec<f64> = eig.values.iter().map(|&l| l.max(0.0)).collect();
@@ -114,13 +116,6 @@ impl Pca {
                 }
             }
             k
-        };
-        let scales = if self.standardize {
-            stds.iter()
-                .map(|&s| if s > 0.0 { s } else { 1.0 })
-                .collect()
-        } else {
-            vec![1.0; data.cols()]
         };
         Some(PcaModel {
             means,
@@ -190,6 +185,83 @@ impl PcaModel {
         }
         imp
     }
+}
+
+// The fit's statistics over a flat row-major slice of `p` columns and at
+// least two rows. Each one stands in for a public function of
+// `crate::stats` inside the fit and sums over the rows in the same order,
+// so the fit stays bit-identical to that composition (the tests check it).
+
+/// Per-column means, as [`column_means`](crate::column_means).
+fn means_of(data: &[f64], p: usize) -> Vec<f64> {
+    let n = data.len() / p;
+    let mut means = vec![0.0; p];
+    for row in data.chunks_exact(p) {
+        for (m, &x) in means.iter_mut().zip(row) {
+            *m += x;
+        }
+    }
+    for m in &mut means {
+        *m /= n as f64;
+    }
+    means
+}
+
+/// The divisors [`standardize`](crate::standardize) applies: each
+/// column's sample standard deviation around `means`, or 1 for a
+/// constant column.
+fn scales_of(data: &[f64], p: usize, means: &[f64]) -> Vec<f64> {
+    let n = data.len() / p;
+    let mut vars = vec![0.0; p];
+    for row in data.chunks_exact(p) {
+        for ((v, &x), &m) in vars.iter_mut().zip(row).zip(means) {
+            let d = x - m;
+            *v += d * d;
+        }
+    }
+    vars.iter()
+        .map(|v| (v / (n as f64 - 1.0)).sqrt())
+        .map(|s| if s > 0.0 { s } else { 1.0 })
+        .collect()
+}
+
+/// [`covariance_matrix`](crate::covariance_matrix) of the prepared
+/// columns `(x − means) / scales` without materialising them: one pass
+/// for their column means, one to accumulate the upper triangle, each
+/// recomputing a prepared value by the same two operations.
+fn prepared_covariance(data: &[f64], p: usize, means: &[f64], scales: &[f64]) -> Matrix {
+    let n = data.len() / p;
+    let prepare = |row: &[f64], j: usize| (row[j] - means[j]) / scales[j];
+    let mut prepared_means = vec![0.0; p];
+    for row in data.chunks_exact(p) {
+        for (j, m) in prepared_means.iter_mut().enumerate() {
+            *m += prepare(row, j);
+        }
+    }
+    for m in &mut prepared_means {
+        *m /= n as f64;
+    }
+    let mut cov = Matrix::zeros(p, p);
+    let mut d = vec![0.0; p];
+    for row in data.chunks_exact(p) {
+        for (j, dj) in d.iter_mut().enumerate() {
+            *dj = prepare(row, j) - prepared_means[j];
+        }
+        for (a, &da) in d.iter().enumerate() {
+            for (b, &db) in d.iter().enumerate().skip(a) {
+                cov[(a, b)] += da * db;
+            }
+        }
+    }
+    let denom = n as f64 - 1.0;
+    for a in 0..p {
+        for b in a..p {
+            let v = cov[(a, b)] / denom;
+            cov[(a, b)] = v;
+            cov[(b, a)] = v;
+        }
+    }
+    cov
 }
 
 #[cfg(test)]
@@ -302,6 +374,140 @@ mod tests {
         let r1 = m1.explained_variance_ratio();
         let r2 = m2.explained_variance_ratio();
         assert!((r1[0] - r2[0]).abs() < 1e-9, "{r1:?} vs {r2:?}");
+    }
+
+    /// The fit as the composition of the public statistics functions:
+    /// the specification [`Pca::fit`] must reproduce bit for bit.
+    fn composed_fit(pca: &Pca, data: &Matrix) -> Option<PcaModel> {
+        use crate::stats::{column_means, column_std_devs, covariance_matrix, standardize};
+        if data.rows() < 2 || data.cols() == 0 || !data.as_slice().iter().all(|x| x.is_finite()) {
+            return None;
+        }
+        let means = column_means(data);
+        let stds = column_std_devs(data);
+        let prepared = if pca.standardize {
+            standardize(data)
+        } else {
+            let mut c = data.clone();
+            for i in 0..c.rows() {
+                for (j, m) in means.iter().enumerate() {
+                    c[(i, j)] -= m;
+                }
+            }
+            c
+        };
+        let eig = symmetric_eigen(&covariance_matrix(&prepared))?;
+        let eigenvalues: Vec<f64> = eig.values.iter().map(|&l| l.max(0.0)).collect();
+        let total: f64 = eigenvalues.iter().sum();
+        let mut retained = 1;
+        if total > 0.0 {
+            let mut acc = 0.0;
+            for (k, &l) in eigenvalues.iter().enumerate() {
+                acc += l;
+                retained = k + 1;
+                if acc / total >= pca.variance_threshold {
+                    break;
+                }
+            }
+        }
+        let scales = stds
+            .iter()
+            .map(|&s| if pca.standardize && s > 0.0 { s } else { 1.0 })
+            .collect();
+        Some(PcaModel {
+            means,
+            scales,
+            eigenvalues,
+            components: eig.vectors,
+            retained,
+        })
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_bit_identical(pca: &Pca, data: &Matrix) {
+        let fast = pca.fit(data);
+        let slow = composed_fit(pca, data);
+        match (fast, slow) {
+            (None, None) => {}
+            (Some(f), Some(s)) => {
+                assert_eq!(bits(&f.means), bits(&s.means), "means");
+                assert_eq!(bits(&f.scales), bits(&s.scales), "scales");
+                assert_eq!(bits(&f.eigenvalues), bits(&s.eigenvalues), "eigenvalues");
+                assert_eq!(
+                    bits(f.components.as_slice()),
+                    bits(s.components.as_slice()),
+                    "components"
+                );
+                assert_eq!(f.retained, s.retained);
+                assert_eq!(
+                    bits(&f.variable_importance()),
+                    bits(&s.variable_importance())
+                );
+            }
+            (f, s) => panic!("fit {:?} vs composition {:?}", f.is_some(), s.is_some()),
+        }
+    }
+
+    #[test]
+    fn fit_is_bit_identical_to_the_public_composition() {
+        let mut constant_col = line_data();
+        for i in 0..constant_col.rows() {
+            constant_col[(i, 0)] = 0.25;
+        }
+        let signed_zeros = Matrix::from_rows(4, 2, &[0.0, -0.0, -0.0, 1.0, 0.0, 0.0, -0.0, 2.0]);
+        let cases = [
+            line_data(),
+            constant_col,
+            signed_zeros,
+            Matrix::from_rows(3, 3, &[1.0; 9]),
+            Matrix::zeros(1, 3),
+            Matrix::from_rows(2, 1, &[1.0, f64::NAN]),
+        ];
+        for standardize in [true, false] {
+            let pca = Pca {
+                standardize,
+                variance_threshold: 0.85,
+            };
+            for data in &cases {
+                assert_bit_identical(&pca, data);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn random_fits_are_bit_identical_to_the_public_composition(
+            cols in 1usize..6,
+            rows in 2usize..80,
+            standardize in 0u8..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            // A cheap deterministic value stream with repeats, zeros and
+            // wide magnitudes, so constant columns and cancellation occur.
+            let mut x = seed | 1;
+            let data: Vec<f64> = (0..rows * cols)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    match x % 5 {
+                        0 => 0.0,
+                        1 => (x % 7) as f64 * 0.1,
+                        _ => (x >> 11) as f64 / (1u64 << 53) as f64 * 10f64.powi((x % 6) as i32),
+                    }
+                })
+                .collect();
+            let pca = Pca {
+                standardize: standardize == 1,
+                variance_threshold: 0.85,
+            };
+            assert_bit_identical(&pca, &Matrix::from_rows(rows, cols, &data));
+        }
     }
 
     #[test]
