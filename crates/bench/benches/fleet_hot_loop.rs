@@ -2,8 +2,9 @@
 //! driven end to end through the epoch-barrier executor (cell worlds →
 //! shard workers → barrier exchange → aggregation) at 1/2/4/8 worker
 //! threads. The guarded figure is service-epochs advanced per
-//! wall-clock second; `results/BENCH_simcore.json` records the
-//! baseline per thread count. Telemetry is disabled (`run_quiet`) so
+//! wall-clock second at each thread count; the tracked performance
+//! record is `perfbench/BASELINE.json` (its `fleet_week` workload).
+//! Telemetry is disabled (`run_quiet`) so
 //! the benchmark measures the simulation and the barrier machinery,
 //! not per-event serialisation.
 

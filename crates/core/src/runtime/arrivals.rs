@@ -1,22 +1,58 @@
 //! Arrival handling: one user query enters the system.
 
-use super::effects::EffectBus;
-use super::fabric::{wire_delay, Fabric};
+use super::fabric::submit;
 use super::{Ev, SimWorld};
 use crate::engine::RouteTarget;
-use amoeba_platform::{IaasPlatform, NodeId, Query, QueryId, ServerlessPlatform};
-use amoeba_sim::{EventQueue, SimRng, SimTime};
+use amoeba_platform::{Query, QueryId};
+use amoeba_sim::SimTime;
 use amoeba_telemetry::{PlacementRecord, TelemetryEvent, TelemetrySink};
 use amoeba_workload::ArrivalProcess;
 
-/// A real query of service `idx` arrives: record it with the
-/// controller's load estimator, route it via the engine (background
-/// services are pinned serverless), place it on a node (multi-node
-/// runs only — single-node everything executes on node 0), submit it
-/// to the chosen platform and re-arm the service's next arrival.
+/// A real query of service `idx` arrives from outside: admit it and
+/// re-arm the service's next arrival.
 pub(crate) fn on_arrival<S: TelemetrySink + ?Sized>(
     world: &mut SimWorld,
     idx: usize,
+    now: SimTime,
+    sink: &mut S,
+) {
+    let seq = world.services[idx].next_query_id;
+    world.services[idx].next_query_id += 1;
+    // Workflow root stages tag the query with their stage index and
+    // open the instance record; a plain service's untagged id is
+    // bit-identical to a stage-0 tag.
+    let counted = now >= world.warmup_t;
+    let id = match world
+        .workflow
+        .as_mut()
+        .and_then(|w| w.open_root(idx, seq, now, counted))
+    {
+        Some(stage) => QueryId::user_stage(seq, stage),
+        None => QueryId::user(seq),
+    };
+    admit(world, idx, id, now, sink);
+    let SimWorld {
+        services, queue, ..
+    } = world;
+    let svc = &mut services[idx];
+    if !svc.exhausted {
+        if let Some(t) = svc.arrivals.next_after(now) {
+            queue.push(t, Ev::Arrival { idx });
+        } else {
+            svc.exhausted = true;
+        }
+    }
+}
+
+/// A user query of service `idx` enters the system — an external
+/// arrival or a workflow stage hand-off; both pay the same placement,
+/// spill and wire-delay rules. Record it with the controller's load
+/// estimator, route it via the engine (background services are pinned
+/// serverless), place it on a node and submit it there.
+pub(crate) fn admit<S: TelemetrySink + ?Sized>(
+    world: &mut SimWorld,
+    idx: usize,
+    id: QueryId,
     now: SimTime,
     sink: &mut S,
 ) {
@@ -24,131 +60,35 @@ pub(crate) fn on_arrival<S: TelemetrySink + ?Sized>(
         services,
         controller,
         engine,
-        serverless,
-        iaas,
-        platform_rng,
-        iaas_rng,
-        bus,
-        queue,
-        fabric,
-        workflow,
+        nodes,
+        placement,
         warmup_t,
         ..
     } = world;
-    let sid = services[idx].sid;
+    let svc = &mut services[idx];
     controller.record_arrival(idx, now);
-    let seq = services[idx].next_query_id;
-    services[idx].next_query_id += 1;
     if now >= *warmup_t {
-        services[idx].submitted += 1;
+        svc.submitted += 1;
     }
-    // Workflow root stages tag the query with their stage index and
-    // open the instance record; a plain service's untagged id is
-    // bit-identical to a stage-0 tag.
-    let qid = match workflow
-        .as_mut()
-        .and_then(|w| w.open_root(idx, seq, now, now >= *warmup_t))
-    {
-        Some(stage) => QueryId::user_stage(seq, stage),
-        None => QueryId::user(seq),
-    };
     let query = Query {
-        id: qid,
-        service: sid,
+        id,
+        service: svc.sid,
         submitted: now,
     };
-    let target = if services[idx].background {
+    let target = if svc.background {
         RouteTarget::Serverless
     } else {
-        engine.route(sid)
+        engine.route(svc.sid)
     };
-    route_and_submit(
-        idx,
-        query,
-        target,
-        now,
-        serverless,
-        iaas,
-        platform_rng,
-        iaas_rng,
-        bus,
-        queue,
-        fabric,
-        sink,
-    );
-    if !services[idx].exhausted {
-        if let Some(t) = services[idx].arrivals.next_after(now) {
-            queue.push(t, Ev::Arrival { idx });
-        } else {
-            services[idx].exhausted = true;
-        }
+    let (node, spill) = placement.place(engine.home(svc.sid), target, nodes);
+    if sink.enabled() && nodes.len() > 1 {
+        sink.record(TelemetryEvent::Placement(PlacementRecord {
+            t: now,
+            service: idx,
+            node: node.index(),
+            spill,
+        }));
     }
-}
-
-/// Place a routed user query on a node (multi-node runs only) and
-/// submit it to the chosen platform. Shared between external arrivals
-/// and workflow stage hand-offs — both classes of traffic pay the same
-/// placement, spill and wire-delay rules.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn route_and_submit<S: TelemetrySink + ?Sized>(
-    idx: usize,
-    query: Query,
-    target: RouteTarget,
-    now: SimTime,
-    serverless: &mut ServerlessPlatform,
-    iaas: &mut IaasPlatform,
-    platform_rng: &mut SimRng,
-    iaas_rng: &mut SimRng,
-    bus: &mut EffectBus,
-    queue: &mut EventQueue<Ev>,
-    fabric: &mut Option<Fabric>,
-    sink: &mut S,
-) {
-    let sid = query.service;
-    if let Some(f) = fabric.as_mut() {
-        let (node, spill) = f.place(idx, target, serverless);
-        if sink.enabled() {
-            sink.record(TelemetryEvent::Placement(PlacementRecord {
-                t: now,
-                service: idx,
-                node: node.index(),
-                spill,
-            }));
-        }
-        if node == NodeId::ZERO {
-            match target {
-                RouteTarget::Serverless => {
-                    serverless.resume_service(sid);
-                    bus.extend(serverless.submit(query, now, platform_rng));
-                }
-                RouteTarget::Iaas => {
-                    bus.extend(iaas.submit(query, now, iaas_rng));
-                }
-            }
-        } else {
-            // Remote execution: spills pay the inter-node RTT; the
-            // query keeps its original submit stamp so the wire shows
-            // up as latency, not as vanished time.
-            queue.push(
-                now + wire_delay(&f.topology, spill),
-                Ev::RemoteSubmit {
-                    node,
-                    query,
-                    route: target,
-                },
-            );
-        }
-    } else {
-        match target {
-            RouteTarget::Serverless => {
-                // Real traffic ends any drain (the NoP path
-                // switches with no prewarm ack).
-                serverless.resume_service(sid);
-                bus.extend(serverless.submit(query, now, platform_rng));
-            }
-            RouteTarget::Iaas => {
-                bus.extend(iaas.submit(query, now, iaas_rng));
-            }
-        }
-    }
+    let delay = placement.wire_delay(spill);
+    submit(world, node, query, target, delay, now);
 }

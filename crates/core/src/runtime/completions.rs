@@ -1,7 +1,9 @@
 //! Completion accounting: every query outcome — user, shadow, meter or
 //! injected — funnels through here off the effect bus.
 
+use super::arrivals::admit;
 use super::faults::chaos_completion;
+use super::workflow::on_stage_complete;
 use super::world::ServiceRt;
 use super::{Experiment, SimWorld};
 use crate::controller::{DeployMode, DeploymentController};
@@ -27,14 +29,6 @@ pub(crate) fn on_completed<S: TelemetrySink + ?Sized>(
         services,
         controller,
         monitor,
-        engine,
-        serverless,
-        iaas,
-        platform_rng,
-        iaas_rng,
-        bus,
-        queue,
-        fabric,
         chaos,
         workflow,
         meter_ids,
@@ -68,29 +62,11 @@ pub(crate) fn on_completed<S: TelemetrySink + ?Sized>(
         // accounting: successors must flow even during warmup, when
         // `account` records nothing.
         if !outcome.query.id.is_shadow() {
-            if let Some(wrt) = workflow.as_mut() {
-                let idx = outcome.query.service.raw() as usize;
-                if let Some((w, s)) = wrt.stage_of(idx) {
-                    super::workflow::on_stage_complete(
-                        wrt,
-                        w,
-                        s,
-                        &outcome,
-                        now,
-                        services,
-                        controller,
-                        engine,
-                        serverless,
-                        iaas,
-                        platform_rng,
-                        iaas_rng,
-                        bus,
-                        queue,
-                        fabric,
-                        *warmup_t,
-                        sink,
-                    );
-                }
+            let ready = workflow
+                .as_mut()
+                .map_or_else(Vec::new, |wrt| on_stage_complete(wrt, &outcome, now, sink));
+            for (idx, id) in ready {
+                admit(world, idx, id, now, sink);
             }
         }
     }

@@ -9,12 +9,13 @@
 //! jitter-deferred [`on_service_decision`] handler that fires each
 //! service's decision at its own offset past the shared tick.
 
+use super::fabric::{self, route_effects, submit};
 use super::switching::{apply_engine_actions, DRAIN_TIMEOUT_S};
 use super::tenancy::PRESSURE_CAP;
 use super::{record_forecast, Ev, Experiment, SimWorld};
 use crate::controller::{prewarm_count, Decision, DeployMode};
 use crate::engine::{DeadlineAction, RouteTarget};
-use amoeba_platform::{Effect, NodeId, Query, QueryId};
+use amoeba_platform::{NodeId, Query, QueryId};
 use amoeba_sim::{SimDuration, SimTime};
 use amoeba_telemetry::{
     FaultKind, FaultRecord, NodeUtilRecord, RecoveryKind, RecoveryRecord, TelemetryEvent,
@@ -30,7 +31,7 @@ use amoeba_telemetry::{
 pub(crate) fn effective_pressures(world: &SimWorld) -> [f64; 3] {
     let base = match world.tenancy.as_ref() {
         Some(t) if t.endogenous => {
-            let u = world.serverless.utilization();
+            let u = world.nodes[0].serverless.utilization();
             [
                 u[0].min(PRESSURE_CAP),
                 u[1].min(PRESSURE_CAP),
@@ -68,11 +69,18 @@ fn co_tenant_loads(world: &SimWorld, now: SimTime) -> Vec<(usize, f64)> {
         .collect()
 }
 
-/// Co-tenancy is per pool: with a fabric, only services sharing a home
-/// node contend for the same serverless capacity.
+/// The home map, when services are spread over more than one node;
+/// `None` when they all share one pool (every single-node run).
+fn split_homes(world: &SimWorld) -> Option<&[NodeId]> {
+    let homes = world.engine.homes();
+    homes.iter().any(|&h| h != homes[0]).then_some(homes)
+}
+
+/// Co-tenancy is per pool: only services sharing a home node contend
+/// for the same serverless capacity.
 fn filter_by_home<'a>(
     others: &'a [(usize, f64)],
-    homes: &Option<Vec<NodeId>>,
+    homes: Option<&[NodeId]>,
     idx: usize,
     scratch: &'a mut Vec<(usize, f64)>,
 ) -> &'a [(usize, f64)] {
@@ -103,17 +111,15 @@ pub(crate) fn on_control_tick<S: TelemetrySink + ?Sized>(
     world.pressure_sum[2] += pressures[2];
     world.pressure_samples += 1;
     let weights = world.monitor.weights();
-    // Fleet utilization snapshot (multi-node runs only; single-node
-    // traces keep their legacy event stream byte-identical).
-    if sink.enabled() {
-        if let Some(f) = world.fabric.as_ref() {
-            let (mean_util, max_node_util) = f.fleet_utilization(&world.serverless);
-            sink.record(TelemetryEvent::NodeUtil(NodeUtilRecord {
-                t: now,
-                mean_util,
-                max_node_util,
-            }));
-        }
+    // Fleet utilization snapshot (multi-node topologies only; a
+    // single node's pool is already in the heartbeat stream).
+    if sink.enabled() && world.nodes.len() > 1 {
+        let (mean_util, max_node_util) = fabric::fleet_utilization(&world.nodes);
+        sink.record(TelemetryEvent::NodeUtil(NodeUtilRecord {
+            t: now,
+            mean_util,
+            max_node_util,
+        }));
     }
     if exp.variant.switches() {
         {
@@ -152,7 +158,7 @@ pub(crate) fn on_control_tick<S: TelemetrySink + ?Sized>(
             }
         }
         let others = co_tenant_loads(world, now);
-        let homes: Option<Vec<NodeId>> = world.fabric.as_ref().map(|f| f.home.clone());
+        let split = split_homes(world).is_some();
         let mut scratch = Vec::new();
         for idx in 0..world.services.len() {
             if world.services[idx].pinned {
@@ -168,7 +174,8 @@ pub(crate) fn on_control_tick<S: TelemetrySink + ?Sized>(
                 }
                 continue;
             }
-            let local = filter_by_home(&others, &homes, idx, &mut scratch);
+            let homes = split.then(|| world.engine.homes());
+            let local = filter_by_home(&others, homes, idx, &mut scratch);
             decide_service(exp, world, idx, now, pressures, weights, local, sink);
         }
         shadow_probes(exp, world, now);
@@ -196,9 +203,8 @@ pub(crate) fn on_service_decision<S: TelemetrySink + ?Sized>(
     let pressures = effective_pressures(world);
     let weights = world.monitor.weights();
     let others = co_tenant_loads(world, now);
-    let homes: Option<Vec<NodeId>> = world.fabric.as_ref().map(|f| f.home.clone());
     let mut scratch = Vec::new();
-    let local = filter_by_home(&others, &homes, idx, &mut scratch);
+    let local = filter_by_home(&others, split_homes(world), idx, &mut scratch);
     decide_service(exp, world, idx, now, pressures, weights, local, sink);
 }
 
@@ -206,44 +212,18 @@ pub(crate) fn on_service_decision<S: TelemetrySink + ?Sized>(
 /// is reclaimed forcibly and its in-flight queries re-queued on
 /// serverless.
 fn drain_watchdog<S: TelemetrySink + ?Sized>(world: &mut SimWorld, now: SimTime, sink: &mut S) {
-    let SimWorld {
-        services,
-        serverless,
-        iaas,
-        platform_rng,
-        bus,
-        queue,
-        fabric,
-        drain_deadline,
-        ..
-    } = world;
-    for idx in 0..services.len() {
-        let overdue = matches!(drain_deadline[idx], Some(dl) if now >= dl);
+    for idx in 0..world.services.len() {
+        let overdue = matches!(world.drain_deadline[idx], Some(dl) if now >= dl);
         if !overdue {
             continue;
         }
-        drain_deadline[idx] = None;
-        let sid = services[idx].sid;
-        let home = fabric.as_ref().map_or(NodeId::ZERO, |f| f.home[idx]);
-        let displaced = if home == NodeId::ZERO {
-            let (eff, displaced) = iaas.force_drain(sid, now);
-            bus.extend(eff);
-            displaced
-        } else {
-            // The overdue group lives on the service's home node; its
-            // schedules return to the calendar node-tagged.
-            let f = fabric.as_mut().unwrap();
-            let (eff, displaced) = f.node_mut(home).iaas.force_drain(sid, now);
-            for e in eff {
-                match e {
-                    Effect::Schedule { after, event } => {
-                        queue.push(now + after, Ev::NodePlatform { node: home, event });
-                    }
-                    ack => bus.extend([ack]),
-                }
-            }
-            displaced
-        };
+        world.drain_deadline[idx] = None;
+        // The overdue group lives on the service's home node, and its
+        // displaced work re-queues on that node's pool.
+        let sid = world.services[idx].sid;
+        let home = world.engine.home(sid);
+        let (eff, displaced) = world.nodes[home.index()].iaas.force_drain(sid, now);
+        route_effects(home, eff, now, &mut world.queue, &mut world.bus);
         if sink.enabled() {
             sink.record(TelemetryEvent::Fault(FaultRecord {
                 t: now,
@@ -260,21 +240,14 @@ fn drain_watchdog<S: TelemetrySink + ?Sized>(world: &mut SimWorld, now: SimTime,
             }));
         }
         for q in displaced {
-            if home == NodeId::ZERO {
-                serverless.resume_service(q.service);
-                bus.extend(serverless.submit(q, now, platform_rng));
-            } else {
-                // Displaced work re-queues on the home node's pool,
-                // keeping the original submit time.
-                queue.push(
-                    now,
-                    Ev::RemoteSubmit {
-                        node: home,
-                        query: q,
-                        route: RouteTarget::Serverless,
-                    },
-                );
-            }
+            submit(
+                world,
+                home,
+                q,
+                RouteTarget::Serverless,
+                SimDuration::ZERO,
+                now,
+            );
         }
     }
 }
@@ -298,13 +271,6 @@ fn decide_service<S: TelemetrySink + ?Sized>(
         services,
         controller,
         engine,
-        serverless,
-        iaas,
-        platform_rng,
-        bus,
-        queue,
-        fabric,
-        drain_deadline,
         wasted_prewarms,
         failed_switches,
         n_max,
@@ -350,17 +316,7 @@ fn decide_service<S: TelemetrySink + ?Sized>(
                     }));
                 }
             }
-            apply_engine_actions(
-                actions,
-                now,
-                serverless,
-                iaas,
-                fabric.as_mut(),
-                queue,
-                platform_rng,
-                bus,
-                drain_deadline,
-            );
+            apply_engine_actions(world, actions, now);
             return;
         }
         // The controller is not consulted while a
@@ -436,17 +392,7 @@ fn decide_service<S: TelemetrySink + ?Sized>(
         }
         Decision::SwitchToIaas => engine.begin_switch(sid, DeployMode::Iaas, 0, load, now, sink),
     };
-    apply_engine_actions(
-        actions,
-        now,
-        serverless,
-        iaas,
-        fabric.as_mut(),
-        queue,
-        platform_rng,
-        bus,
-        drain_deadline,
-    );
+    apply_engine_actions(world, actions, now);
 }
 
 /// Shadow traffic: one mirrored query per IaaS-mode
@@ -455,22 +401,12 @@ fn shadow_probes(exp: &Experiment, world: &mut SimWorld, now: SimTime) {
     if !exp.variant.uses_pca() {
         return;
     }
-    let SimWorld {
-        services,
-        controller,
-        engine,
-        serverless,
-        platform_rng,
-        bus,
-        queue,
-        fabric,
-        ..
-    } = world;
-    for (idx, svc) in services.iter_mut().enumerate() {
+    for idx in 0..world.services.len() {
+        let svc = &mut world.services[idx];
         let sid = svc.sid;
         if svc.background
-            || engine.mode(sid) != DeployMode::Iaas
-            || controller.estimated_load(idx, now) <= 0.0
+            || world.engine.mode(sid) != DeployMode::Iaas
+            || world.controller.estimated_load(idx, now) <= 0.0
         {
             continue;
         }
@@ -480,19 +416,25 @@ fn shadow_probes(exp: &Experiment, world: &mut SimWorld, now: SimTime) {
             submitted: now,
         };
         svc.next_query_id += 1;
-        let home = fabric.as_ref().map_or(NodeId::ZERO, |f| f.home[idx]);
+        // The probe mirrors onto the home node's pool — internal
+        // traffic, so no wire delay.
+        let home = world.engine.home(sid);
         if home == NodeId::ZERO {
-            bus.extend(serverless.submit(query, now, platform_rng));
+            // A probe into node 0's pool leaves the service's
+            // serverless drain alone; on any other node the submit hop
+            // resumes it. The pinned digests fix both behaviours.
+            let eff = world.nodes[0]
+                .serverless
+                .submit(query, now, &mut world.platform_rng);
+            route_effects(home, eff, now, &mut world.queue, &mut world.bus);
         } else {
-            // The probe mirrors onto the home node's pool —
-            // internal traffic, so no wire delay.
-            queue.push(
+            submit(
+                world,
+                home,
+                query,
+                RouteTarget::Serverless,
+                SimDuration::ZERO,
                 now,
-                Ev::RemoteSubmit {
-                    node: home,
-                    query,
-                    route: RouteTarget::Serverless,
-                },
             );
         }
     }

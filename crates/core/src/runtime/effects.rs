@@ -9,7 +9,7 @@
 //! in batches until the bus is idle.
 
 use super::{completions, switching, Ev, Experiment, SimWorld};
-use amoeba_platform::Effect;
+use amoeba_platform::{Effect, NodeId};
 use amoeba_sim::SimTime;
 use amoeba_telemetry::TelemetrySink;
 
@@ -41,13 +41,6 @@ impl EffectBus {
     pub(crate) fn take_batch(&mut self) -> Vec<Effect> {
         std::mem::take(&mut self.pending)
     }
-
-    /// Raw access for [`super::world::SimPlatforms`], whose
-    /// `PlatformCommands` impl pushes platform responses while the
-    /// engine's actions are dispatched.
-    pub(crate) fn pending_mut(&mut self) -> &mut Vec<Effect> {
-        &mut self.pending
-    }
 }
 
 /// Apply every pending effect (and everything their application emits)
@@ -64,18 +57,14 @@ pub(crate) fn apply<S: TelemetrySink + ?Sized>(
         let batch = world.bus.take_batch();
         for e in batch {
             match e {
+                // Only node 0's schedules reach the bus: other nodes
+                // put theirs straight on the calendar (the ordering
+                // contract, `fabric::route_effects`).
                 Effect::Schedule { after, event } => {
-                    world.queue.push(now + after, Ev::Platform(event));
+                    let node = NodeId::ZERO;
+                    world.queue.push(now + after, Ev::Platform { node, event });
                 }
                 Effect::Completed(outcome) => {
-                    // Completions on the main bus always come from
-                    // node 0's platforms; remote nodes account theirs
-                    // in `fabric::absorb`.
-                    if !outcome.query.id.is_shadow() {
-                        if let Some(f) = world.fabric.as_mut() {
-                            f.note_completed(amoeba_platform::NodeId::ZERO);
-                        }
-                    }
                     completions::on_completed(exp, world, outcome, now, sink);
                 }
                 Effect::PrewarmReady { service } => {

@@ -1,30 +1,34 @@
-//! The multi-node fabric: remote node platforms, placement scheduling
-//! and cross-node accounting.
+//! The node fabric: every node's platform pair, placement scheduling,
+//! cross-node accounting, and the ordering contract by which platform
+//! responses re-enter the kernel.
 //!
-//! Node 0 — the user-facing node — lives directly on [`SimWorld`]
-//! (`serverless`/`iaas`), so single-node runs never touch this module
-//! and stay bit-identical to the legacy kernel. When the topology has
-//! more than one node, a [`Fabric`] carries the remote nodes' platform
-//! pairs, the per-service home assignment and the scheduler, and two
-//! extra calendar events route work across nodes:
+//! A run's topology is [`SimWorld::nodes`], indexed by [`NodeId`]; a
+//! single-node run is a topology of one. Node 0 is the user-facing
+//! node: the contention meters, injected faults and the tenancy vendor
+//! act on its pool. Every node runs the same code — platform-internal
+//! progress arrives as [`Ev::Platform`] on [`on_platform`], and work
+//! bound for a node goes through the one [`submit`] site.
 //!
-//! * [`Ev::NodePlatform`] — platform-internal progress on a remote
-//!   node (the remote twin of [`Ev::Platform`]);
-//! * [`Ev::RemoteSubmit`] — a query landing on a remote node after its
-//!   wire delay.
+//! # Ordering contract
 //!
-//! Switch-protocol acks (`PrewarmReady` & co.) are service-keyed and
-//! node-agnostic, so remote nodes push them onto the main effect bus
-//! and the single-node switching handlers work unchanged — the
-//! engine's home map routes the resulting actions back to the right
-//! node through [`FabricCommands`].
+//! Where a platform response lands sets the calendar's FIFO tie order
+//! and the order of draws on the shared `platform_rng`; the golden
+//! traces and pinned digests fix both. [`route_effects`] is the one
+//! place that decides it: node 0's responses all go onto the effect
+//! bus, applied after the current event, while any other node pushes
+//! its schedules straight onto the calendar and only the rest
+//! (completions and switch-protocol acks) onto the bus.
+//!
+//! [`submit`] holds the matching rule for new work: node 0 executes it
+//! inline, while every other node — a service's own home included —
+//! receives it through a [`Ev::RemoteSubmit`] hop.
 
 use super::effects::EffectBus;
-use super::{completions, Ev, Experiment, SimWorld};
-use crate::engine::{PlatformCommands, RouteTarget};
+use super::{faults, Ev, Experiment, MultiNodeSummary, NodeTotals, SimWorld};
+use crate::engine::RouteTarget;
 use amoeba_platform::{
     fleet_max_utilization, fleet_mean_utilization, ClusterEvent, Effect, IaasPlatform, NodeId,
-    Query, Scheduler, ServerlessPlatform, ServiceId, TargetId, TargetMode, TopologyConfig,
+    Query, Scheduler, ServerlessPlatform, TopologyConfig,
 };
 use amoeba_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use amoeba_telemetry::TelemetrySink;
@@ -33,104 +37,130 @@ use amoeba_telemetry::TelemetrySink;
 /// new serverless arrivals to the least-loaded peer.
 pub(crate) const SPILL_THRESHOLD: f64 = 0.85;
 
-/// The platform pair of one remote node. Node 0's pair lives directly
-/// on [`SimWorld`] so the chaos, metering and monitor paths stay
-/// single-node.
+/// The platform pair of one node.
 pub(crate) struct NodeRt {
     pub(crate) serverless: ServerlessPlatform,
     pub(crate) iaas: IaasPlatform,
 }
 
-/// Multi-node run state: remote platforms, placement and counters.
-/// Present on [`SimWorld`] only when the topology has more than one
-/// node.
-pub(crate) struct Fabric {
-    /// Remote nodes: `nodes[i]` is `NodeId(i + 1)`.
-    pub(crate) nodes: Vec<NodeRt>,
-    pub(crate) scheduler: Scheduler,
-    pub(crate) topology: TopologyConfig,
-    /// Home node per service index.
-    pub(crate) home: Vec<NodeId>,
-    /// User queries placed on each node (by executing node).
-    pub(crate) node_submitted: Vec<u64>,
-    /// User queries completed on each node.
-    pub(crate) node_completed: Vec<u64>,
-    /// User queries lost to injected faults on each node.
-    pub(crate) node_failed: Vec<u64>,
-    /// Queries a node received spilled off another node's home.
-    pub(crate) node_spills: Vec<u64>,
-    /// Total cross-node spills.
-    pub(crate) spill_total: u64,
-}
-
-impl Fabric {
-    /// Total nodes in the topology (remote nodes plus node 0).
-    pub(crate) fn node_count(&self) -> usize {
-        self.nodes.len() + 1
-    }
-
-    /// The platform pair of a remote node. Node 0 lives on `SimWorld`.
-    pub(crate) fn node_mut(&mut self, node: NodeId) -> &mut NodeRt {
-        debug_assert_ne!(node, NodeId::ZERO, "node 0 lives on SimWorld");
-        &mut self.nodes[node.index() - 1]
-    }
-
-    /// Max per-resource utilization of one node's serverless pool.
-    fn pool_pressure(&self, node: NodeId, node0: &ServerlessPlatform) -> f64 {
-        let u = if node == NodeId::ZERO {
-            node0.utilization()
-        } else {
-            self.nodes[node.index() - 1].serverless.utilization()
-        };
-        u.iter().fold(0.0, |a, &b| f64::max(a, b))
-    }
-
-    /// The node with the calmest serverless pool, optionally excluding
-    /// one; ties break toward the lowest node id.
-    fn least_loaded(&self, exclude: Option<NodeId>, node0: &ServerlessPlatform) -> NodeId {
-        let mut best = None;
-        for i in 0..self.node_count() {
-            let node = NodeId::new(i);
-            if exclude == Some(node) {
-                continue;
+impl NodeRt {
+    /// Deliver a platform-internal event to the platform that owns it.
+    pub(crate) fn handle(
+        &mut self,
+        event: ClusterEvent,
+        now: SimTime,
+        platform_rng: &mut SimRng,
+        iaas_rng: &mut SimRng,
+    ) -> Vec<Effect> {
+        match event {
+            ClusterEvent::ColdStartDone { .. }
+            | ClusterEvent::ServerlessExecDone { .. }
+            | ClusterEvent::ContainerExpire { .. } => {
+                self.serverless.handle(event, now, platform_rng)
             }
-            let p = self.pool_pressure(node, node0);
-            if best.is_none_or(|(_, bp)| p < bp) {
-                best = Some((node, p));
+            ClusterEvent::VmBootDone { .. } | ClusterEvent::IaasExecDone { .. } => {
+                self.iaas.handle(event, now, iaas_rng)
             }
         }
-        best.map(|(n, _)| n).unwrap_or(NodeId::ZERO)
     }
 
-    /// Fleet-wide mean and max serverless utilization (node 0 + remote).
-    pub(crate) fn fleet_utilization(&self, node0: &ServerlessPlatform) -> ([f64; 3], f64) {
-        let pools = std::iter::once(node0).chain(self.nodes.iter().map(|n| &n.serverless));
-        let mean = fleet_mean_utilization(pools.clone());
-        let max = fleet_max_utilization(pools);
-        (mean, max)
+    /// Submit a query on the given route. Real traffic ends any
+    /// serverless drain (the NoP path switches with no prewarm ack).
+    pub(crate) fn submit(
+        &mut self,
+        query: Query,
+        route: RouteTarget,
+        now: SimTime,
+        platform_rng: &mut SimRng,
+        iaas_rng: &mut SimRng,
+    ) -> Vec<Effect> {
+        match route {
+            RouteTarget::Serverless => {
+                self.serverless.resume_service(query.service);
+                self.serverless.submit(query, now, platform_rng)
+            }
+            RouteTarget::Iaas => self.iaas.submit(query, now, iaas_rng),
+        }
+    }
+}
+
+/// Max per-resource utilization of one node's serverless pool.
+fn pool_pressure(nodes: &[NodeRt], node: NodeId) -> f64 {
+    let u = nodes[node.index()].serverless.utilization();
+    u.iter().fold(0.0, |a, &b| f64::max(a, b))
+}
+
+/// The node with the calmest serverless pool, optionally excluding
+/// one; ties break toward the lowest node id.
+fn least_loaded(nodes: &[NodeRt], exclude: Option<NodeId>) -> NodeId {
+    let mut best = None;
+    for i in 0..nodes.len() {
+        let node = NodeId::new(i);
+        if exclude == Some(node) {
+            continue;
+        }
+        let p = pool_pressure(nodes, node);
+        if best.is_none_or(|(_, bp)| p < bp) {
+            best = Some((node, p));
+        }
+    }
+    best.map(|(n, _)| n).unwrap_or(NodeId::ZERO)
+}
+
+/// Fleet-wide mean and max serverless utilization over every node.
+pub(crate) fn fleet_utilization(nodes: &[NodeRt]) -> ([f64; 3], f64) {
+    let pools = nodes.iter().map(|n| &n.serverless);
+    (
+        fleet_mean_utilization(pools.clone()),
+        fleet_max_utilization(pools),
+    )
+}
+
+/// Placement state: the scheduler, the inter-node link and the
+/// per-node conservation books.
+pub(crate) struct Placement {
+    scheduler: Scheduler,
+    /// Round-trip time paid by a query spilled off its home node.
+    rtt: SimDuration,
+    /// User queries counted at their executing node, warmup included.
+    pub(crate) books: MultiNodeSummary,
+}
+
+impl Placement {
+    pub(crate) fn new(scheduler: Scheduler, topology: &TopologyConfig) -> Self {
+        Placement {
+            scheduler,
+            rtt: SimDuration::from_secs_f64(topology.rtt_s),
+            books: MultiNodeSummary {
+                nodes: vec![NodeTotals::default(); topology.node_count()],
+                spill_total: 0,
+            },
+        }
     }
 
-    /// Place one arriving user query: which node executes it, and was
-    /// that a spill off its home node? Updates the per-node counters.
+    /// Place one arriving user query of a service homed on `home`:
+    /// which node executes it, and was that a spill off its home?
+    /// Updates the per-node counters.
     pub(crate) fn place(
         &mut self,
-        idx: usize,
+        home: NodeId,
         route: RouteTarget,
-        node0: &ServerlessPlatform,
+        nodes: &[NodeRt],
     ) -> (NodeId, bool) {
-        let home = self.home[idx];
-        let exec = match self.scheduler {
-            // Amoeba switches at the home node; only serverless
-            // arrivals spill, and only when the home pool saturates
-            // and a calmer peer exists.
-            Scheduler::AmoebaPerNode => {
-                if route == RouteTarget::Iaas || self.node_count() == 1 {
-                    home
-                } else {
-                    let p = self.pool_pressure(home, node0);
+        let exec = if route == RouteTarget::Iaas {
+            // IaaS work runs where its VM group lives, whatever the
+            // scheduler: no other node ever boots the service's group.
+            home
+        } else {
+            match self.scheduler {
+                // Amoeba switches at the home node; serverless arrivals
+                // spill only when the home pool saturates and a calmer
+                // peer exists.
+                Scheduler::AmoebaPerNode if nodes.len() > 1 => {
+                    let p = pool_pressure(nodes, home);
                     if p > SPILL_THRESHOLD {
-                        let alt = self.least_loaded(Some(home), node0);
-                        if self.pool_pressure(alt, node0) < p {
+                        let alt = least_loaded(nodes, Some(home));
+                        if pool_pressure(nodes, alt) < p {
                             alt
                         } else {
                             home
@@ -139,72 +169,31 @@ impl Fabric {
                         home
                     }
                 }
+                // NOAH-style: every query chases the calmest pool, RTT
+                // be damned.
+                Scheduler::Noah => least_loaded(nodes, None),
+                // Static contention-aware assignment: the home map is
+                // the whole policy.
+                Scheduler::AmoebaPerNode | Scheduler::EdgeAware => home,
             }
-            // NOAH-style: every query chases the calmest pool, RTT be
-            // damned.
-            Scheduler::Noah => self.least_loaded(None, node0),
-            // Static contention-aware assignment: the home map is the
-            // whole policy.
-            Scheduler::EdgeAware => home,
         };
         let spill = exec != home;
+        let totals = &mut self.books.nodes[exec.index()];
+        totals.submitted += 1;
         if spill {
-            self.node_spills[exec.index()] += 1;
-            self.spill_total += 1;
+            totals.spills += 1;
+            self.books.spill_total += 1;
         }
-        self.node_submitted[exec.index()] += 1;
         (exec, spill)
     }
 
-    /// One user query completed on `node`.
-    pub(crate) fn note_completed(&mut self, node: NodeId) {
-        self.node_completed[node.index()] += 1;
-    }
-
-    /// One user query was dropped by an injected fault on `node`.
-    pub(crate) fn note_failed(&mut self, node: NodeId) {
-        self.node_failed[node.index()] += 1;
-    }
-
-    /// Deliver a platform-internal event to a remote node's pair.
-    fn handle(
-        &mut self,
-        node: NodeId,
-        event: ClusterEvent,
-        now: SimTime,
-        platform_rng: &mut SimRng,
-        iaas_rng: &mut SimRng,
-    ) -> Vec<Effect> {
-        let rt = self.node_mut(node);
-        match event {
-            ClusterEvent::ColdStartDone { .. }
-            | ClusterEvent::ServerlessExecDone { .. }
-            | ClusterEvent::ContainerExpire { .. } => {
-                rt.serverless.handle(event, now, platform_rng)
-            }
-            ClusterEvent::VmBootDone { .. } | ClusterEvent::IaasExecDone { .. } => {
-                rt.iaas.handle(event, now, iaas_rng)
-            }
-        }
-    }
-
-    /// Submit a query to a remote node on the given route.
-    fn submit(
-        &mut self,
-        node: NodeId,
-        query: Query,
-        route: RouteTarget,
-        now: SimTime,
-        platform_rng: &mut SimRng,
-        iaas_rng: &mut SimRng,
-    ) -> Vec<Effect> {
-        let rt = self.node_mut(node);
-        match route {
-            RouteTarget::Serverless => {
-                rt.serverless.resume_service(query.service);
-                rt.serverless.submit(query, now, platform_rng)
-            }
-            RouteTarget::Iaas => rt.iaas.submit(query, now, iaas_rng),
+    /// The wire delay a placed query pays to reach its executing node:
+    /// spills cross the inter-node link, home-node traffic is local.
+    pub(crate) fn wire_delay(&self, spill: bool) -> SimDuration {
+        if spill {
+            self.rtt
+        } else {
+            SimDuration::ZERO
         }
     }
 }
@@ -254,40 +243,53 @@ pub(crate) fn edge_aware_homes(
     homes
 }
 
-/// Apply one batch of remote-node effects: schedules return to the
-/// calendar as [`Ev::NodePlatform`], completions are counted and
-/// accounted, and switch-protocol acks join the main effect bus (the
-/// single-node switching handlers are node-agnostic).
-pub(crate) fn absorb<S: TelemetrySink + ?Sized>(
-    exp: &Experiment,
-    world: &mut SimWorld,
+/// The ordering contract (see the module docs): carry one platform
+/// response from `node` to where it belongs.
+pub(crate) fn route_effects(
     node: NodeId,
     effects: Vec<Effect>,
     now: SimTime,
-    sink: &mut S,
+    queue: &mut EventQueue<Ev>,
+    bus: &mut EffectBus,
 ) {
+    if node == NodeId::ZERO {
+        bus.extend(effects);
+        return;
+    }
     for e in effects {
         match e {
             Effect::Schedule { after, event } => {
-                world
-                    .queue
-                    .push(now + after, Ev::NodePlatform { node, event });
+                queue.push(now + after, Ev::Platform { node, event });
             }
-            Effect::Completed(outcome) => {
-                if !outcome.query.id.is_shadow() {
-                    if let Some(f) = world.fabric.as_mut() {
-                        f.note_completed(node);
-                    }
-                }
-                completions::on_completed(exp, world, outcome, now, sink);
-            }
-            ack => world.bus.extend([ack]),
+            other => bus.extend([other]),
         }
     }
 }
 
-/// A remote node's platform pair made progress.
-pub(crate) fn on_node_platform<S: TelemetrySink + ?Sized>(
+/// The one submit site: `query` goes to `node` on `route`. Node 0
+/// takes it inline; any other node receives it through an
+/// [`Ev::RemoteSubmit`] hop `delay` from now, keeping its original
+/// submit stamp so the wire shows up as latency. Part of the ordering
+/// contract: a spill *onto* node 0 lands inline, without the delay.
+pub(crate) fn submit(
+    world: &mut SimWorld,
+    node: NodeId,
+    query: Query,
+    route: RouteTarget,
+    delay: SimDuration,
+    now: SimTime,
+) {
+    if node == NodeId::ZERO {
+        deliver(world, node, query, route, now);
+    } else {
+        let hop = Ev::RemoteSubmit { node, query, route };
+        world.queue.push(now + delay, hop);
+    }
+}
+
+/// A node's platform pair made progress. Node 0's VM boots first run
+/// the chaos boot gauntlet: the fault model strikes node 0 only.
+pub(crate) fn on_platform<S: TelemetrySink + ?Sized>(
     exp: &Experiment,
     world: &mut SimWorld,
     node: NodeId,
@@ -295,126 +297,42 @@ pub(crate) fn on_node_platform<S: TelemetrySink + ?Sized>(
     now: SimTime,
     sink: &mut S,
 ) {
-    let eff = {
-        let SimWorld {
-            fabric,
-            platform_rng,
-            iaas_rng,
-            ..
-        } = world;
-        match fabric.as_mut() {
-            Some(f) => f.handle(node, event, now, platform_rng, iaas_rng),
-            None => return,
+    let eff = match event {
+        ClusterEvent::VmBootDone { service } if node == NodeId::ZERO => {
+            faults::on_node0_boot(exp, world, service, now, sink)
         }
+        _ => world.nodes[node.index()].handle(
+            event,
+            now,
+            &mut world.platform_rng,
+            &mut world.iaas_rng,
+        ),
     };
-    absorb(exp, world, node, eff, now, sink);
+    // Per-node conservation counts user completions where they ran.
+    let done = eff
+        .iter()
+        .filter(|e| matches!(e, Effect::Completed(o) if !o.query.id.is_shadow()))
+        .count();
+    world.placement.books.nodes[node.index()].completed += done as u64;
+    route_effects(node, eff, now, &mut world.queue, &mut world.bus);
 }
 
-/// A query lands on a remote node after its wire delay.
-pub(crate) fn on_remote_submit<S: TelemetrySink + ?Sized>(
-    exp: &Experiment,
+/// A query lands on `node`'s platforms (see [`submit`]).
+pub(crate) fn deliver(
     world: &mut SimWorld,
     node: NodeId,
     query: Query,
     route: RouteTarget,
     now: SimTime,
-    sink: &mut S,
 ) {
-    let eff = {
-        let SimWorld {
-            fabric,
-            platform_rng,
-            iaas_rng,
-            ..
-        } = world;
-        match fabric.as_mut() {
-            Some(f) => f.submit(node, query, route, now, platform_rng, iaas_rng),
-            None => return,
-        }
-    };
-    absorb(exp, world, node, eff, now, sink);
-}
-
-/// The engine's command surface over the whole fleet: node-0 targets
-/// hit [`SimWorld`]'s platforms exactly as the legacy adapter would,
-/// remote targets hit their node's pair with schedules rerouted to
-/// [`Ev::NodePlatform`] and acks onto the shared bus.
-pub(crate) struct FabricCommands<'a> {
-    pub(crate) serverless: &'a mut ServerlessPlatform,
-    pub(crate) iaas: &'a mut IaasPlatform,
-    pub(crate) fabric: &'a mut Fabric,
-    pub(crate) queue: &'a mut EventQueue<Ev>,
-    pub(crate) rng: &'a mut SimRng,
-    pub(crate) bus: &'a mut EffectBus,
-}
-
-impl FabricCommands<'_> {
-    fn route_effects(&mut self, node: NodeId, eff: Vec<Effect>, now: SimTime) {
-        if node == NodeId::ZERO {
-            self.bus.extend(eff);
-            return;
-        }
-        for e in eff {
-            match e {
-                Effect::Schedule { after, event } => {
-                    self.queue
-                        .push(now + after, Ev::NodePlatform { node, event });
-                }
-                ack => self.bus.extend([ack]),
-            }
-        }
-    }
-}
-
-impl PlatformCommands for FabricCommands<'_> {
-    fn prepare(&mut self, service: ServiceId, target: TargetId, count: u32, now: SimTime) {
-        let eff = match (target.node == NodeId::ZERO, target.mode) {
-            (true, TargetMode::Serverless) => {
-                self.serverless.prewarm(service, count, now, self.rng)
-            }
-            (true, TargetMode::Iaas) => self.iaas.activate(service, now),
-            (false, TargetMode::Serverless) => self
-                .fabric
-                .node_mut(target.node)
-                .serverless
-                .prewarm(service, count, now, self.rng),
-            (false, TargetMode::Iaas) => self
-                .fabric
-                .node_mut(target.node)
-                .iaas
-                .activate(service, now),
-        };
-        self.route_effects(target.node, eff, now);
-    }
-
-    fn release(&mut self, service: ServiceId, target: TargetId, now: SimTime) {
-        let eff = match (target.node == NodeId::ZERO, target.mode) {
-            (true, TargetMode::Serverless) => {
-                self.serverless.release_service(service);
-                Vec::new()
-            }
-            (true, TargetMode::Iaas) => self.iaas.release(service, now),
-            (false, TargetMode::Serverless) => {
-                self.fabric
-                    .node_mut(target.node)
-                    .serverless
-                    .release_service(service);
-                Vec::new()
-            }
-            (false, TargetMode::Iaas) => {
-                self.fabric.node_mut(target.node).iaas.release(service, now)
-            }
-        };
-        self.route_effects(target.node, eff, now);
-    }
-}
-
-/// The wire delay a query pays to reach its executing node: spills
-/// cross the inter-node link, home-node traffic is local.
-pub(crate) fn wire_delay(topology: &TopologyConfig, spill: bool) -> SimDuration {
-    if spill {
-        SimDuration::from_secs_f64(topology.rtt_s)
-    } else {
-        SimDuration::ZERO
-    }
+    let SimWorld {
+        nodes,
+        platform_rng,
+        iaas_rng,
+        queue,
+        bus,
+        ..
+    } = world;
+    let eff = nodes[node.index()].submit(query, route, now, platform_rng, iaas_rng);
+    route_effects(node, eff, now, queue, bus);
 }

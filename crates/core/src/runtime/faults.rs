@@ -1,12 +1,14 @@
-//! Chaos bookkeeping and fault-domain event handlers: the platform
-//! event feed (whose VM boots chaos may fail or delay), the timed
-//! fault calendar, and injected pressure-spike traffic.
+//! Chaos bookkeeping and fault-domain event handlers: node 0's VM boot
+//! completions (which chaos may fail or delay), the timed fault
+//! calendar, and injected pressure-spike traffic. The fault model
+//! strikes node 0 only.
 
+use super::fabric::{route_effects, submit};
 use super::{Ev, Experiment, SimWorld};
 use crate::engine::RouteTarget;
 use crate::monitor::ContentionMonitor;
 use amoeba_chaos::{BootOutcome, FaultInjector, TimedFault};
-use amoeba_platform::{ClusterEvent, Query, QueryId, ServiceId};
+use amoeba_platform::{ClusterEvent, Effect, NodeId, Query, QueryId, ServiceId};
 use amoeba_sim::{SimDuration, SimTime};
 use amoeba_telemetry::{
     FaultKind, FaultRecord, RecoveryKind, RecoveryRecord, TelemetryEvent, TelemetrySink,
@@ -64,103 +66,93 @@ pub(crate) fn chaos_completion(
     false
 }
 
-/// Deliver one platform-internal event. Serverless events pass
-/// straight through; `VmBootDone` first runs the chaos boot gauntlet —
-/// a boot in flight may fail outright or land late by the plan's
-/// slow-boot multiplier (§V resilience).
-pub(crate) fn on_platform_event<S: TelemetrySink + ?Sized>(
+/// A VM group boot on node 0 completes — after the chaos boot
+/// gauntlet: a boot in flight may fail outright or land late by the
+/// plan's slow-boot multiplier (§V resilience). Returns node 0's IaaS
+/// response.
+pub(crate) fn on_node0_boot<S: TelemetrySink + ?Sized>(
     exp: &Experiment,
     world: &mut SimWorld,
-    ev: ClusterEvent,
+    service: ServiceId,
     now: SimTime,
     sink: &mut S,
-) {
+) -> Vec<Effect> {
     let SimWorld {
-        serverless,
-        iaas,
-        platform_rng,
+        nodes,
         iaas_rng,
-        bus,
         queue,
         chaos,
         horizon_t,
         ..
     } = world;
-    let eff = match ev {
-        ClusterEvent::ColdStartDone { .. }
-        | ClusterEvent::ServerlessExecDone { .. }
-        | ClusterEvent::ContainerExpire { .. } => serverless.handle(ev, now, platform_rng),
-        ClusterEvent::VmBootDone { service } => {
-            // Chaos may fail or delay a boot in flight;
-            // past the horizon boots always land so the
-            // calendar drains.
-            let mut fate = match chaos.as_mut() {
-                Some(ch) if now < *horizon_t && iaas.is_booting(service) => {
-                    ch.injector.vm_boot_outcome()
-                }
-                _ => BootOutcome::Healthy,
-            };
-            let mult = chaos
-                .as_ref()
-                .map_or(1.0, |c| c.injector.plan().slow_boot_multiplier);
-            if fate == BootOutcome::Slow && mult <= 1.0 {
-                fate = BootOutcome::Healthy;
-            }
-            let idx = service.raw() as usize;
-            match fate {
-                BootOutcome::Fail => {
-                    if let Some(ch) = chaos.as_mut() {
-                        if idx < ch.boot_fault_since.len() && ch.boot_fault_since[idx].is_none() {
-                            ch.boot_fault_since[idx] = Some(now);
-                        }
-                    }
-                    if sink.enabled() {
-                        sink.record(TelemetryEvent::Fault(FaultRecord {
-                            t: now,
-                            kind: FaultKind::VmBootFailure,
-                            service: Some(idx),
-                            queries_displaced: 0,
-                            queries_dropped: 0,
-                        }));
-                    }
-                    iaas.fail_boot(service, now)
-                }
-                BootOutcome::Slow => {
-                    let extra = exp.iaas_cfg.boot_time_s * (mult - 1.0);
-                    queue.push(now + SimDuration::from_secs_f64(extra), Ev::Platform(ev));
-                    if sink.enabled() {
-                        sink.record(TelemetryEvent::Fault(FaultRecord {
-                            t: now,
-                            kind: FaultKind::VmSlowBoot,
-                            service: Some(idx),
-                            queries_displaced: 0,
-                            queries_dropped: 0,
-                        }));
-                    }
-                    Vec::new()
-                }
-                BootOutcome::Healthy => {
-                    if let Some(ch) = chaos.as_mut() {
-                        if idx < ch.boot_fault_since.len() {
-                            if let Some(since) = ch.boot_fault_since[idx].take() {
-                                if sink.enabled() {
-                                    sink.record(TelemetryEvent::Recovery(RecoveryRecord {
-                                        t: now,
-                                        kind: RecoveryKind::VmBootSucceeded,
-                                        service: Some(idx),
-                                        after_s: now.duration_since(since).as_secs_f64(),
-                                    }));
-                                }
-                            }
-                        }
-                    }
-                    iaas.handle(ev, now, iaas_rng)
-                }
-            }
-        }
-        ClusterEvent::IaasExecDone { .. } => iaas.handle(ev, now, iaas_rng),
+    let iaas = &mut nodes[0].iaas;
+    let ev = ClusterEvent::VmBootDone { service };
+    let Some(ch) = chaos.as_mut() else {
+        return iaas.handle(ev, now, iaas_rng);
     };
-    bus.extend(eff);
+    // Chaos may fail or delay a boot in flight; past the horizon boots
+    // always land so the calendar drains.
+    let mut fate = if now < *horizon_t && iaas.is_booting(service) {
+        ch.injector.vm_boot_outcome()
+    } else {
+        BootOutcome::Healthy
+    };
+    let mult = ch.injector.plan().slow_boot_multiplier;
+    if fate == BootOutcome::Slow && mult <= 1.0 {
+        fate = BootOutcome::Healthy;
+    }
+    let idx = service.raw() as usize;
+    // First failed/slow boot since the last healthy one (managed
+    // services only).
+    let fault_since = ch.boot_fault_since.get_mut(idx);
+    match fate {
+        BootOutcome::Fail => {
+            if let Some(since) = fault_since {
+                since.get_or_insert(now);
+            }
+            if sink.enabled() {
+                sink.record(TelemetryEvent::Fault(FaultRecord {
+                    t: now,
+                    kind: FaultKind::VmBootFailure,
+                    service: Some(idx),
+                    queries_displaced: 0,
+                    queries_dropped: 0,
+                }));
+            }
+            iaas.fail_boot(service, now)
+        }
+        BootOutcome::Slow => {
+            let extra = exp.iaas_cfg.boot_time_s * (mult - 1.0);
+            let node = NodeId::ZERO;
+            queue.push(
+                now + SimDuration::from_secs_f64(extra),
+                Ev::Platform { node, event: ev },
+            );
+            if sink.enabled() {
+                sink.record(TelemetryEvent::Fault(FaultRecord {
+                    t: now,
+                    kind: FaultKind::VmSlowBoot,
+                    service: Some(idx),
+                    queries_displaced: 0,
+                    queries_dropped: 0,
+                }));
+            }
+            Vec::new()
+        }
+        BootOutcome::Healthy => {
+            if let Some(since) = fault_since.and_then(Option::take) {
+                if sink.enabled() {
+                    sink.record(TelemetryEvent::Recovery(RecoveryRecord {
+                        t: now,
+                        kind: RecoveryKind::VmBootSucceeded,
+                        service: Some(idx),
+                        after_s: now.duration_since(since).as_secs_f64(),
+                    }));
+                }
+            }
+            iaas.handle(ev, now, iaas_rng)
+        }
+    }
 }
 
 /// A scheduled fault fires. Container crashes displace or drop the
@@ -174,93 +166,13 @@ pub(crate) fn on_chaos<S: TelemetrySink + ?Sized>(
 ) {
     let SimWorld {
         services,
-        engine,
-        serverless,
-        iaas,
-        platform_rng,
-        iaas_rng,
-        bus,
         queue,
         chaos,
-        fabric,
-        workflow,
-        warmup_t,
         ..
     } = world;
     if let Some(ch) = chaos.as_mut() {
         match fault {
-            TimedFault::ContainerCrash => {
-                let total = serverless.total_containers() as usize;
-                let report = if total > 0 {
-                    let victim = ch.injector.pick(total);
-                    let (eff, report) = serverless.crash_container(victim, now, platform_rng);
-                    bus.extend(eff);
-                    report
-                } else {
-                    None // empty pool: the crash is a no-op
-                };
-                if let Some(rep) = report {
-                    let idx = rep.service.raw() as usize;
-                    let mut displaced = 0u64;
-                    let mut dropped = 0u64;
-                    if let Some(q) = rep.displaced {
-                        if q.id.is_shadow() {
-                            // Shadow, meter or spike work:
-                            // nothing waits on it.
-                        } else if ch.injector.drop_crashed_query() {
-                            dropped = 1;
-                            if idx < services.len() && q.submitted >= *warmup_t {
-                                services[idx].failed += 1;
-                            }
-                            // A dropped stage query fails its whole
-                            // workflow instance; sibling branches
-                            // short-circuit when they complete, so
-                            // per-stage conservation holds.
-                            if let Some(wrt) = workflow.as_mut() {
-                                wrt.on_stage_query_lost(idx, q.id);
-                            }
-                            // Chaos only strikes node 0; the fabric's
-                            // conservation counters track every user
-                            // query, warmup included.
-                            if let Some(f) = fabric.as_mut() {
-                                f.note_failed(amoeba_platform::NodeId::ZERO);
-                            }
-                        } else {
-                            // Re-queue on the current route,
-                            // keeping the original submit time
-                            // so the lost work shows up as
-                            // latency, not as a vanished query.
-                            displaced = 1;
-                            ch.crash_requeued
-                                .entry((q.service.raw(), q.id.raw()))
-                                .or_insert(now);
-                            let target = if idx < services.len() && !services[idx].background {
-                                engine.route(q.service)
-                            } else {
-                                RouteTarget::Serverless
-                            };
-                            match target {
-                                RouteTarget::Serverless => {
-                                    serverless.resume_service(q.service);
-                                    bus.extend(serverless.submit(q, now, platform_rng));
-                                }
-                                RouteTarget::Iaas => {
-                                    bus.extend(iaas.submit(q, now, iaas_rng));
-                                }
-                            }
-                        }
-                    }
-                    if sink.enabled() {
-                        sink.record(TelemetryEvent::Fault(FaultRecord {
-                            t: now,
-                            kind: FaultKind::ContainerCrash,
-                            service: (idx < services.len()).then_some(idx),
-                            queries_displaced: displaced,
-                            queries_dropped: dropped,
-                        }));
-                    }
-                }
-            }
+            TimedFault::ContainerCrash => container_crash(world, now, sink),
             TimedFault::MeterOutage => {
                 let m = ch.injector.pick(3);
                 ch.meter_outage_until[m] =
@@ -316,6 +228,95 @@ pub(crate) fn on_chaos<S: TelemetrySink + ?Sized>(
     }
 }
 
+/// A container in node 0's pool crashes (chaos strikes node 0 only).
+/// Its in-flight user query is dropped, or re-queued on its current
+/// route keeping the original submit time, so the lost work shows up
+/// as latency, not as a vanished query.
+fn container_crash<S: TelemetrySink + ?Sized>(world: &mut SimWorld, now: SimTime, sink: &mut S) {
+    let SimWorld {
+        services,
+        engine,
+        nodes,
+        placement,
+        platform_rng,
+        bus,
+        queue,
+        chaos,
+        workflow,
+        warmup_t,
+        ..
+    } = world;
+    let Some(ch) = chaos.as_mut() else {
+        return;
+    };
+    let pool = &mut nodes[0].serverless;
+    let total = pool.total_containers() as usize;
+    if total == 0 {
+        return; // empty pool: the crash is a no-op
+    }
+    let victim = ch.injector.pick(total);
+    let (eff, report) = pool.crash_container(victim, now, platform_rng);
+    route_effects(NodeId::ZERO, eff, now, queue, bus);
+    let Some(rep) = report else {
+        return;
+    };
+    let idx = rep.service.raw() as usize;
+    let managed = idx < services.len();
+    // Shadow, meter or spike work: nothing waits on it.
+    let user_query = rep.displaced.filter(|q| !q.id.is_shadow());
+    let (displaced, dropped) = match user_query {
+        None => (0, 0),
+        Some(q) if ch.injector.drop_crashed_query() => {
+            if managed && q.submitted >= *warmup_t {
+                services[idx].failed += 1;
+            }
+            // A dropped stage query fails its whole workflow instance;
+            // sibling branches short-circuit when they complete, so
+            // per-stage conservation holds.
+            if let Some(wrt) = workflow.as_mut() {
+                wrt.on_stage_query_lost(idx, q.id);
+            }
+            // The per-node conservation books track every user query,
+            // warmup included.
+            placement.books.nodes[0].failed += 1;
+            (0, 1)
+        }
+        Some(q) => {
+            ch.crash_requeued
+                .entry((q.service.raw(), q.id.raw()))
+                .or_insert(now);
+            let target = if managed && !services[idx].background {
+                engine.route(q.service)
+            } else {
+                RouteTarget::Serverless
+            };
+            // Serverless work goes back into the pool it crashed out
+            // of; IaaS work runs where the service's VM group lives,
+            // and moves its placement count there with it.
+            let node = match target {
+                RouteTarget::Serverless => NodeId::ZERO,
+                RouteTarget::Iaas => engine.home(q.service),
+            };
+            if node != NodeId::ZERO {
+                let books = &mut placement.books.nodes;
+                books[0].submitted -= 1;
+                books[node.index()].submitted += 1;
+            }
+            submit(world, node, q, target, SimDuration::ZERO, now);
+            (1, 0)
+        }
+    };
+    if sink.enabled() {
+        sink.record(TelemetryEvent::Fault(FaultRecord {
+            t: now,
+            kind: FaultKind::ContainerCrash,
+            service: managed.then_some(idx),
+            queries_displaced: displaced,
+            queries_dropped: dropped,
+        }));
+    }
+}
+
 /// One query of an injected pressure spike arrives: pure synthetic
 /// load on the shared pool, excluded from every account.
 ///
@@ -327,9 +328,10 @@ pub(crate) fn on_chaos<S: TelemetrySink + ?Sized>(
 /// golden traces).
 pub(crate) fn on_spike_query(world: &mut SimWorld, sid: ServiceId, now: SimTime) {
     let SimWorld {
-        serverless,
+        nodes,
         platform_rng,
         bus,
+        queue,
         chaos,
         tenancy,
         ..
@@ -345,6 +347,7 @@ pub(crate) fn on_spike_query(world: &mut SimWorld, sid: ServiceId, now: SimTime)
             submitted: now,
         };
         ch.spike_next_id += 1;
-        bus.extend(serverless.submit(q, now, platform_rng));
+        let eff = nodes[0].serverless.submit(q, now, platform_rng);
+        route_effects(NodeId::ZERO, eff, now, queue, bus);
     }
 }

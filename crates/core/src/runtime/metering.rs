@@ -1,10 +1,11 @@
 //! Metering and sampling: the contention meters' heartbeat queries,
 //! the monitor's Eq. 8 sample periods, and the usage/timeline sampler.
 
+use super::fabric::route_effects;
 use super::{Ev, Experiment, SimWorld};
 use crate::controller::DeployMode;
 use amoeba_meters::METER_QPS;
-use amoeba_platform::{Query, QueryId};
+use amoeba_platform::{NodeId, Query, QueryId};
 use amoeba_sim::{SimDuration, SimTime};
 use amoeba_telemetry::{HeartbeatRecord, TelemetryEvent, TelemetrySink};
 
@@ -12,7 +13,7 @@ use amoeba_telemetry::{HeartbeatRecord, TelemetryEvent, TelemetrySink};
 /// phase-shifted so the three never collide, §VII-E).
 pub(crate) fn on_meter_arrival(world: &mut SimWorld, meter: usize, now: SimTime) {
     let SimWorld {
-        serverless,
+        nodes,
         platform_rng,
         bus,
         queue,
@@ -28,7 +29,8 @@ pub(crate) fn on_meter_arrival(world: &mut SimWorld, meter: usize, now: SimTime)
         submitted: now,
     };
     *meter_next_id += 1;
-    bus.extend(serverless.submit(query, now, platform_rng));
+    let eff = nodes[0].serverless.submit(query, now, platform_rng);
+    route_effects(NodeId::ZERO, eff, now, queue, bus);
     let next = now + SimDuration::from_secs_f64(1.0 / METER_QPS);
     if next < *horizon_t {
         queue.push(next, Ev::MeterArrival { meter });
@@ -70,12 +72,10 @@ pub(crate) fn on_heartbeat<S: TelemetrySink + ?Sized>(
 pub(crate) fn on_usage_sample(exp: &Experiment, world: &mut SimWorld, now: SimTime) {
     let SimWorld {
         services,
-        serverless,
-        iaas,
+        nodes,
         engine,
         controller,
         queue,
-        fabric,
         meter_ids,
         meter_core_seconds,
         last_usage_sample,
@@ -85,22 +85,16 @@ pub(crate) fn on_usage_sample(exp: &Experiment, world: &mut SimWorld, now: SimTi
     let dt = now.duration_since(*last_usage_sample).as_secs_f64();
     *last_usage_sample = now;
     for (idx, s) in services.iter_mut().enumerate() {
-        // Fleet-wide aggregates: node 0 plus every fabric node (the
-        // single-node path sums over nothing extra and stays
-        // bit-identical).
-        let (mut iaas_cores, mut iaas_mem) = iaas.allocation(s.sid);
-        let mut busy_iaas = iaas.busy_cores(s.sid);
-        let mut containers = serverless.container_count(s.sid) as f64;
-        let mut busy_count = serverless.busy_count(s.sid) as f64;
-        if let Some(f) = fabric.as_ref() {
-            for rt in &f.nodes {
-                let (c, m) = rt.iaas.allocation(s.sid);
-                iaas_cores += c;
-                iaas_mem += m;
-                busy_iaas += rt.iaas.busy_cores(s.sid);
-                containers += rt.serverless.container_count(s.sid) as f64;
-                busy_count += rt.serverless.busy_count(s.sid) as f64;
-            }
+        // Fleet-wide aggregates, summed in node order.
+        let (mut iaas_cores, mut iaas_mem, mut busy_iaas) = (0.0, 0.0, 0.0);
+        let (mut containers, mut busy_count) = (0.0, 0.0);
+        for rt in nodes.iter() {
+            let (c, m) = rt.iaas.allocation(s.sid);
+            iaas_cores += c;
+            iaas_mem += m;
+            busy_iaas += rt.iaas.busy_cores(s.sid);
+            containers += rt.serverless.container_count(s.sid) as f64;
+            busy_count += rt.serverless.busy_count(s.sid) as f64;
         }
         s.billable.iaas_core_seconds += iaas_cores * dt;
         s.billable.iaas_mem_mb_seconds += iaas_mem * dt;
@@ -109,7 +103,7 @@ pub(crate) fn on_usage_sample(exp: &Experiment, world: &mut SimWorld, now: SimTi
         let cores = iaas_cores + containers * exp.serverless_cfg.container_core_share;
         let mem = iaas_mem + containers * exp.serverless_cfg.container_memory_mb;
         s.usage.set_allocation(now, cores, mem);
-        let rates = serverless.service_rates(s.sid);
+        let rates = nodes[0].serverless.service_rates(s.sid);
         let busy_sl = busy_count * rates.cpu_cores;
         s.usage.set_consumption(now, busy_iaas + busy_sl);
         s.cores_timeline.push(now, cores);
@@ -130,10 +124,10 @@ pub(crate) fn on_usage_sample(exp: &Experiment, world: &mut SimWorld, now: SimTi
         s.load_timeline
             .push(now, controller.estimated_load(idx, now));
     }
-    for (m, &mid) in meter_ids.iter().enumerate() {
-        let rates = serverless.service_rates(mid);
-        *meter_core_seconds += serverless.busy_count(mid) as f64 * rates.cpu_cores * dt;
-        let _ = m;
+    let node0 = &nodes[0].serverless;
+    for &mid in meter_ids.iter() {
+        let rates = node0.service_rates(mid);
+        *meter_core_seconds += node0.busy_count(mid) as f64 * rates.cpu_cores * dt;
     }
     let next = now + exp.usage_sample_period;
     if next < *horizon_t {

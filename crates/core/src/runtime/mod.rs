@@ -16,14 +16,16 @@
 //! queue.pop() → dispatch(&mut world, ev) → effects::apply(...)
 //! ```
 //!
-//! `world::SimWorld` owns every piece of mutable run state; each
-//! event class is handled by its own module (`arrivals`, `control`,
-//! `metering`, `faults`); platform effects are carried on the
+//! `world::SimWorld` owns every piece of mutable run state, including
+//! one platform pair per node (`fabric::NodeRt`); each event class is
+//! handled by its own module (`arrivals`, `control`, `metering`,
+//! `faults`, `fabric`); platform effects are carried on the
 //! `effects::EffectBus` and applied by `effects::apply`, which
 //! routes completions to `completions` and switch-protocol acks to
 //! `switching`. Handlers never mutate platforms behind the engine's
-//! back: engine decisions go through the `PlatformCommands` trait and
-//! every platform response returns as an effect on the bus.
+//! back: `switching::apply_engine_actions` carries every engine
+//! decision to its target node, and every platform response returns
+//! through `fabric::route_effects`, which holds the ordering contract.
 
 mod arrivals;
 mod completions;
@@ -163,11 +165,10 @@ pub struct Experiment {
     pub ack_timeout: SimDuration,
     /// Ack retries before a switch is rolled back as `Aborted`.
     pub max_ack_retries: u32,
-    /// Node topology. The default single-node shape runs the legacy
-    /// path bit-identically; more than one node activates the
-    /// multi-node fabric (per-node platforms, placement, spill).
+    /// Node topology: one platform pair per node. The default is a
+    /// single node; with more, placement may spill work across nodes.
     pub topology: TopologyConfig,
-    /// Placement scheduler for multi-node runs (ignored single-node).
+    /// Placement scheduler (every choice is node 0 on a single node).
     pub scheduler: Scheduler,
     /// Multi-tenant population and vendor policy. `None` (the default)
     /// — or a no-op setup (empty fleet, exogenous pressure) — runs the
@@ -286,15 +287,10 @@ fn dispatch<S: TelemetrySink + ?Sized>(
         Ev::ServiceDecision { idx } => control::on_service_decision(exp, world, idx, now, sink),
         Ev::Heartbeat => metering::on_heartbeat(world, now, sink),
         Ev::UsageSample => metering::on_usage_sample(exp, world, now),
-        Ev::Platform(pe) => faults::on_platform_event(exp, world, pe, now, sink),
+        Ev::Platform { node, event } => fabric::on_platform(exp, world, node, event, now, sink),
         Ev::Chaos(fault) => faults::on_chaos(world, fault, now, sink),
         Ev::SpikeQuery { sid } => faults::on_spike_query(world, sid, now),
-        Ev::NodePlatform { node, event } => {
-            fabric::on_node_platform(exp, world, node, event, now, sink)
-        }
-        Ev::RemoteSubmit { node, query, route } => {
-            fabric::on_remote_submit(exp, world, node, query, route, now, sink)
-        }
+        Ev::RemoteSubmit { node, query, route } => fabric::deliver(world, node, query, route, now),
         Ev::VendorTick => tenancy::on_vendor_tick(world, now, sink),
     }
 }
@@ -303,7 +299,11 @@ fn dispatch<S: TelemetrySink + ?Sized>(
 /// as [`Ev::Platform`]; everything else is runtime-scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Ev {
-    Platform(ClusterEvent),
+    /// Platform-internal progress on one node.
+    Platform {
+        node: NodeId,
+        event: ClusterEvent,
+    },
     Arrival {
         idx: usize,
     },
@@ -324,13 +324,9 @@ pub(crate) enum Ev {
     SpikeQuery {
         sid: ServiceId,
     },
-    /// Platform-internal progress on a remote node (multi-node only).
-    NodePlatform {
-        node: NodeId,
-        event: ClusterEvent,
-    },
-    /// A query lands on a remote node after its wire delay, carrying
-    /// the route decided at placement time (multi-node only).
+    /// A query lands on a node other than 0 after its wire delay (zero
+    /// for its home node), carrying the route decided at placement
+    /// time.
     RemoteSubmit {
         node: NodeId,
         query: Query,
@@ -440,9 +436,8 @@ impl ExperimentBuilder {
     }
 
     /// Run on `n` nodes (all at capacity scale 1.0 until overridden by
-    /// [`ExperimentBuilder::node_capacity`]). `n = 1` is the legacy
-    /// single-node shape; anything larger activates the multi-node
-    /// fabric. By convention node 0 — the user-facing node whose
+    /// [`ExperimentBuilder::node_capacity`]). `n = 1` is the default
+    /// single-node shape. By convention node 0 — the user-facing node whose
     /// capacity the controller models — stays at scale 1.0.
     pub fn nodes(mut self, n: usize) -> Self {
         assert!((1..=255).contains(&n), "node count {n} out of range");

@@ -2,14 +2,12 @@
 //! boot acknowledgements flip the router through the engine, and the
 //! drained ack (or its watchdog) reclaims the old side.
 
-use super::effects::EffectBus;
-use super::fabric::{Fabric, FabricCommands};
-use super::world::SimPlatforms;
-use super::{Ev, SimWorld};
+use super::fabric::route_effects;
+use super::SimWorld;
 use crate::controller::DeployMode;
-use crate::engine::{dispatch_actions, EngineAction, Legacy};
-use amoeba_platform::{IaasPlatform, ServerlessPlatform, ServiceId, TargetMode};
-use amoeba_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use crate::engine::EngineAction;
+use amoeba_platform::{ServiceId, TargetMode};
+use amoeba_sim::{SimDuration, SimTime};
 use amoeba_telemetry::{
     FaultKind, FaultRecord, SwitchPhase, SwitchRecord, TelemetryEvent, TelemetrySink,
 };
@@ -19,69 +17,54 @@ use amoeba_telemetry::{
 /// The §V shutdown step must terminate even if completions are lost.
 pub(crate) const DRAIN_TIMEOUT_S: f64 = 60.0;
 
-/// Arm the drain watchdog for every IaaS-target release among
-/// `actions`: if the group's `IaasDrained` ack never arrives, the
-/// first control tick past the deadline reclaims it forcibly.
-pub(crate) fn note_vm_releases(
-    actions: &[EngineAction],
-    now: SimTime,
-    drain_deadline: &mut [Option<SimTime>],
-) {
-    for a in actions {
-        if let EngineAction::Release { service, target } = a {
-            if target.mode != TargetMode::Iaas {
-                continue;
+/// Carry one batch of engine actions to the platforms of each
+/// action's target node, arming the drain watchdog for every IaaS
+/// release: if the group's `IaasDrained` ack never arrives, the first
+/// control tick past the deadline reclaims it forcibly. This is the
+/// *only* path from an engine decision to platform state.
+pub(crate) fn apply_engine_actions(world: &mut SimWorld, actions: Vec<EngineAction>, now: SimTime) {
+    let SimWorld {
+        nodes,
+        platform_rng,
+        queue,
+        bus,
+        drain_deadline,
+        ..
+    } = world;
+    for action in actions {
+        let (node, eff) = match action {
+            EngineAction::Prepare {
+                service,
+                target,
+                count,
+            } => {
+                let rt = &mut nodes[target.node.index()];
+                let eff = match target.mode {
+                    TargetMode::Serverless => {
+                        rt.serverless.prewarm(service, count, now, platform_rng)
+                    }
+                    TargetMode::Iaas => rt.iaas.activate(service, now),
+                };
+                (target.node, eff)
             }
-            let idx = service.raw() as usize;
-            if idx < drain_deadline.len() {
-                drain_deadline[idx] = Some(now + SimDuration::from_secs_f64(DRAIN_TIMEOUT_S));
+            EngineAction::Release { service, target } => {
+                let rt = &mut nodes[target.node.index()];
+                let eff = match target.mode {
+                    TargetMode::Serverless => {
+                        rt.serverless.release_service(service);
+                        Vec::new()
+                    }
+                    TargetMode::Iaas => {
+                        if let Some(dl) = drain_deadline.get_mut(service.raw() as usize) {
+                            *dl = Some(now + SimDuration::from_secs_f64(DRAIN_TIMEOUT_S));
+                        }
+                        rt.iaas.release(service, now)
+                    }
+                };
+                (target.node, eff)
             }
-        }
-    }
-}
-
-/// Carry one batch of engine actions to the platforms: arm the drain
-/// watchdog for releases, then dispatch through [`PlatformCommands`]
-/// with responses landing on the effect bus. This is the *only* path
-/// from an engine decision to platform state.
-///
-/// [`PlatformCommands`]: crate::engine::PlatformCommands
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_engine_actions(
-    actions: Vec<EngineAction>,
-    now: SimTime,
-    serverless: &mut ServerlessPlatform,
-    iaas: &mut IaasPlatform,
-    fabric: Option<&mut Fabric>,
-    queue: &mut EventQueue<Ev>,
-    platform_rng: &mut SimRng,
-    bus: &mut EffectBus,
-    drain_deadline: &mut [Option<SimTime>],
-) {
-    note_vm_releases(&actions, now, drain_deadline);
-    match fabric {
-        None => dispatch_actions(
-            actions,
-            now,
-            &mut Legacy(SimPlatforms {
-                serverless,
-                iaas,
-                rng: platform_rng,
-                effects: bus.pending_mut(),
-            }),
-        ),
-        Some(f) => dispatch_actions(
-            actions,
-            now,
-            &mut FabricCommands {
-                serverless,
-                iaas,
-                fabric: f,
-                queue,
-                rng: platform_rng,
-                bus,
-            },
-        ),
+        };
+        route_effects(node, eff, now, queue, bus);
     }
 }
 
@@ -98,14 +81,7 @@ pub(crate) fn on_prewarm_ready<S: TelemetrySink + ?Sized>(
         services,
         controller,
         engine,
-        serverless,
-        iaas,
-        platform_rng,
-        bus,
-        queue,
         chaos,
-        fabric,
-        drain_deadline,
         ..
     } = world;
     if (service.raw() as usize) < services.len() {
@@ -128,17 +104,7 @@ pub(crate) fn on_prewarm_ready<S: TelemetrySink + ?Sized>(
         }
         let load = controller.estimated_load(idx, now);
         let actions = engine.on_ready(service, DeployMode::Serverless, load, now, sink);
-        apply_engine_actions(
-            actions,
-            now,
-            serverless,
-            iaas,
-            fabric.as_mut(),
-            queue,
-            platform_rng,
-            bus,
-            drain_deadline,
-        );
+        apply_engine_actions(world, actions, now);
     }
 }
 
@@ -154,30 +120,13 @@ pub(crate) fn on_vm_group_ready<S: TelemetrySink + ?Sized>(
         services,
         controller,
         engine,
-        serverless,
-        iaas,
-        platform_rng,
-        bus,
-        queue,
-        fabric,
-        drain_deadline,
         ..
     } = world;
     if (service.raw() as usize) < services.len() {
         let idx = service.raw() as usize;
         let load = controller.estimated_load(idx, now);
         let actions = engine.on_ready(service, DeployMode::Iaas, load, now, sink);
-        apply_engine_actions(
-            actions,
-            now,
-            serverless,
-            iaas,
-            fabric.as_mut(),
-            queue,
-            platform_rng,
-            bus,
-            drain_deadline,
-        );
+        apply_engine_actions(world, actions, now);
     }
 }
 

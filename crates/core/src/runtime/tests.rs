@@ -224,16 +224,28 @@ mod multinode {
             _ => SystemVariant::OpenWhisk,
         };
         let services = scenario(benchmarks::float(), 240.0);
-        Experiment::builder(variant, SimDuration::from_secs_f64(240.0), seed)
+        run_multi_as(scheduler, variant, services, seed, None)
+    }
+
+    fn run_multi_as(
+        scheduler: Scheduler,
+        variant: SystemVariant,
+        services: Vec<ServiceSetup>,
+        seed: u64,
+        plan: Option<FaultPlan>,
+    ) -> RunResult {
+        let mut b = Experiment::builder(variant, SimDuration::from_secs_f64(240.0), seed)
             .services(services)
             .nodes(4)
             .node_capacity(1, 0.75)
             .node_capacity(2, 0.75)
             .node_capacity(3, 0.5)
             .inter_node_latency(SimDuration::from_secs_f64(0.04))
-            .scheduler(scheduler)
-            .build()
-            .run()
+            .scheduler(scheduler);
+        if let Some(p) = plan {
+            b = b.fault_plan(p);
+        }
+        b.build().run()
     }
 
     #[test]
@@ -306,14 +318,44 @@ mod multinode {
             Scheduler::Noah,
             Scheduler::EdgeAware,
         ] {
-            let r = run_multi(scheduler, 43);
-            for s in &r.services {
-                assert_eq!(
-                    s.submitted,
-                    s.completed + s.failed,
-                    "{scheduler:?} {}",
-                    s.name
-                );
+            // Each scheduler's own variant, and the switching Amoeba
+            // under every scheduler: IaaS-routed work must reach the node
+            // whose VM group serves it. In the last run every service
+            // switches on its own home node and containers crash often,
+            // so crash re-queues of remote-homed IaaS work occur (NOAH
+            // places such queries on node 0's pool at this seed).
+            let plain = scenario(benchmarks::float(), 240.0);
+            let mut all_fg = scenario(benchmarks::float(), 240.0);
+            for s in &mut all_fg {
+                s.background = false;
+            }
+            let crashy = FaultPlan {
+                container_crash_rate_per_hour: 7200.0,
+                ..FaultPlan::mixed()
+            };
+            for r in [
+                run_multi(scheduler, 43),
+                run_multi_as(scheduler, SystemVariant::Amoeba, plain, 43, None),
+                run_multi_as(scheduler, SystemVariant::Amoeba, all_fg, 44, Some(crashy)),
+            ] {
+                for s in &r.services {
+                    assert_eq!(
+                        s.submitted,
+                        s.completed + s.failed,
+                        "{scheduler:?} {:?} {}",
+                        r.variant,
+                        s.name
+                    );
+                }
+                let mn = r.multinode.as_ref().expect("4-node run has a summary");
+                for (i, n) in mn.nodes.iter().enumerate() {
+                    assert_eq!(
+                        n.submitted,
+                        n.completed + n.failed,
+                        "{scheduler:?} {:?} node {i}: {n:?}",
+                        r.variant
+                    );
+                }
             }
         }
     }

@@ -16,16 +16,10 @@
 //! `None` — any run without a multi-stage workflow — touches none of
 //! these paths and stays byte-identical to the legacy kernel.
 
-use super::arrivals::route_and_submit;
-use super::effects::EffectBus;
-use super::fabric::Fabric;
-use super::world::ServiceRt;
-use super::Ev;
-use crate::controller::{DeployMode, DeploymentController};
-use crate::engine::HybridEngine;
+use crate::controller::DeployMode;
 use amoeba_metrics::LatencyRecorder;
-use amoeba_platform::{ExecutedOn, IaasPlatform, Query, QueryId, QueryOutcome, ServerlessPlatform};
-use amoeba_sim::{EventQueue, SimRng, SimTime};
+use amoeba_platform::{ExecutedOn, QueryId, QueryOutcome};
+use amoeba_sim::SimTime;
 use amoeba_telemetry::{StageSpanRecord, TelemetryEvent, TelemetrySink};
 use amoeba_workload::WorkflowSpec;
 use std::collections::VecDeque;
@@ -222,36 +216,26 @@ impl WorkflowRt {
     }
 }
 
-/// One stage of workflow `w` finished executing. Attribute the span,
-/// hand ready successors to the router (fan-in joins here: a successor
-/// is ready exactly when its last predecessor completes), and close
-/// the instance on its final stage.
-#[allow(clippy::too_many_arguments)]
+/// A user query completed; if it ran a workflow stage, attribute the
+/// span and close the instance on its final stage. Returns the
+/// successor stages it made ready — as `(service index, query id)`
+/// pairs for the caller to admit — where fan-in joins: a successor is
+/// ready exactly when its last predecessor completes.
 pub(crate) fn on_stage_complete<S: TelemetrySink + ?Sized>(
     wrt: &mut WorkflowRt,
-    w: usize,
-    s: usize,
     outcome: &QueryOutcome,
     now: SimTime,
-    services: &mut [ServiceRt],
-    controller: &mut DeploymentController,
-    engine: &mut HybridEngine,
-    serverless: &mut ServerlessPlatform,
-    iaas: &mut IaasPlatform,
-    platform_rng: &mut SimRng,
-    iaas_rng: &mut SimRng,
-    bus: &mut EffectBus,
-    queue: &mut EventQueue<Ev>,
-    fabric: &mut Option<Fabric>,
-    warmup_t: SimTime,
     sink: &mut S,
-) {
+) -> Vec<(usize, QueryId)> {
+    let Some((w, s)) = wrt.stage_of(outcome.query.service.raw() as usize) else {
+        return Vec::new();
+    };
     let wf = &mut wrt.workflows[w];
     let seq = outcome.query.id.seq();
     // A missing instance means a sibling branch already failed the
     // traversal (crash-dropped query): swallow the completion.
     let Some(inst) = wf.instances.get_mut(seq) else {
-        return;
+        return Vec::new();
     };
     let latency_s = outcome.latency().as_secs_f64();
     if sink.enabled() {
@@ -273,11 +257,11 @@ pub(crate) fn on_stage_complete<S: TelemetrySink + ?Sized>(
     if inst.counted && latency_s > wf.budgets[s] {
         wf.stage_violations[s] += 1;
     }
-    let mut ready: Vec<usize> = Vec::new();
+    let mut ready = Vec::new();
     for &succ in wf.spec.succs(s) {
         inst.pending[succ] -= 1;
         if inst.pending[succ] == 0 {
-            ready.push(succ);
+            ready.push((wf.svc[succ], QueryId::user_stage(seq, succ)));
         }
     }
     inst.remaining -= 1;
@@ -294,34 +278,7 @@ pub(crate) fn on_stage_complete<S: TelemetrySink + ?Sized>(
                 wf.violations += 1;
             }
         }
-        return;
+        return Vec::new();
     }
-    for succ in ready {
-        let svc_idx = wf.svc[succ];
-        let sid = services[svc_idx].sid;
-        controller.record_arrival(svc_idx, now);
-        if now >= warmup_t {
-            services[svc_idx].submitted += 1;
-        }
-        let query = Query {
-            id: QueryId::user_stage(seq, succ),
-            service: sid,
-            submitted: now,
-        };
-        let target = engine.route(sid);
-        route_and_submit(
-            svc_idx,
-            query,
-            target,
-            now,
-            serverless,
-            iaas,
-            platform_rng,
-            iaas_rng,
-            bus,
-            queue,
-            fabric,
-            sink,
-        );
-    }
+    ready
 }

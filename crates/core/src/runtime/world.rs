@@ -4,23 +4,28 @@
 //! fields it needs, so the borrow checker sees disjoint field borrows
 //! instead of one opaque blob — the property that lets the kernel's
 //! match arms live in separate modules without cloning state around.
+//!
+//! The platforms are one [`NodeRt`] pair per node in `nodes`, indexed
+//! by [`NodeId`]: a single-node run is a topology of one, built by the
+//! same loop as any other. Node 0 also hosts the contention meters and
+//! the chaos interference service.
 
 use super::effects::EffectBus;
-use super::fabric::{self, Fabric, NodeRt};
+use super::fabric::{self, NodeRt, Placement};
 use super::faults::ChaosRt;
 use super::tenancy::{interference_spec, TenancyRt};
 use super::workflow::WorkflowRt;
 use super::{Ev, Experiment};
 use crate::baselines::SystemVariant;
 use crate::controller::{DeployMode, DeploymentController, ProactiveConfig, ServiceModel};
-use crate::engine::{HybridEngine, TwoPlatformCommands};
+use crate::engine::HybridEngine;
 use crate::monitor::{sample_period_lower_bound, ContentionMonitor, MonitorConfig};
 use crate::runtime::results::BreakdownMeans;
 use amoeba_chaos::FaultInjector;
 use amoeba_forecast::HoltWintersDiurnal;
 use amoeba_meters::{cpu_meter, io_meter, net_meter, LatencySurface, ProfileCurve};
 use amoeba_metrics::{BillableUsage, LatencyRecorder, TimeSeries, UsageMeter};
-use amoeba_platform::{Effect, IaasPlatform, NodeId, Scheduler, ServerlessPlatform, ServiceId};
+use amoeba_platform::{IaasPlatform, NodeId, Scheduler, ServerlessPlatform, ServiceId};
 use amoeba_sim::{Distributions, EventQueue, SimDuration, SimRng, SimTime};
 use amoeba_telemetry::{AdmissionRecord, ServiceInfo, TelemetryEvent, TelemetrySink};
 use amoeba_tenancy::PoolCapacity;
@@ -65,8 +70,10 @@ pub(crate) struct ServiceRt {
 /// All mutable state of one experiment run. Built by [`setup`],
 /// consumed by `results::finish`.
 pub(crate) struct SimWorld {
-    pub(crate) serverless: ServerlessPlatform,
-    pub(crate) iaas: IaasPlatform,
+    /// One platform pair per node, indexed by [`NodeId`].
+    pub(crate) nodes: Vec<NodeRt>,
+    /// Placement scheduler and per-node query counters.
+    pub(crate) placement: Placement,
     pub(crate) controller: DeploymentController,
     pub(crate) monitor: ContentionMonitor,
     pub(crate) engine: HybridEngine,
@@ -80,9 +87,6 @@ pub(crate) struct SimWorld {
     pub(crate) iaas_rng: SimRng,
     /// Chaos bookkeeping, present only when a fault plan is attached.
     pub(crate) chaos: Option<ChaosRt>,
-    /// Multi-node fabric, present only when the topology has more than
-    /// one node. `None` runs the legacy single-node path bit-identically.
-    pub(crate) fabric: Option<Fabric>,
     /// Workflow DAG bookkeeping, present only when a multi-stage
     /// workflow is attached. `None` runs the legacy path bit-identically.
     pub(crate) workflow: Option<WorkflowRt>,
@@ -134,14 +138,17 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
     let platform_rng = master_rng.fork();
     let iaas_rng = master_rng.fork();
 
-    // Node 0 takes its topology scale only in multi-node runs, so the
-    // legacy path never re-derives its config through a multiply.
-    let mut serverless = ServerlessPlatform::new(if exp.topology.node_count() > 1 {
-        exp.topology.scaled(&exp.serverless_cfg, NodeId::ZERO)
-    } else {
-        exp.serverless_cfg
-    });
-    let mut iaas = IaasPlatform::new(exp.iaas_cfg);
+    // One platform pair per node. Construction and registration draw
+    // no randomness, so the RNG fork order is untouched by the topology.
+    let n_nodes = exp.topology.node_count();
+    let mut nodes: Vec<NodeRt> = (0..n_nodes)
+        .map(|i| NodeRt {
+            serverless: ServerlessPlatform::new(
+                exp.topology.scaled(&exp.serverless_cfg, NodeId::new(i)),
+            ),
+            iaas: IaasPlatform::new(exp.iaas_cfg),
+        })
+        .collect();
     // Proactive variants look ahead by exactly the switch latency in
     // each direction: a switch up waits on the VM boot, a switch
     // down on the container prewarm, and either decision lands one
@@ -285,13 +292,17 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
         });
     }
 
-    // Register every service on both platforms (ids must align) and
-    // build its controller model from analytic profiling.
+    // Register every service on every platform (ids must align) and
+    // build its controller model from analytic profiling on node 0.
     let mut services: Vec<ServiceRt> = Vec::new();
     for desc in &descs {
-        let sid = serverless.register(desc.spec.clone());
-        let iid = iaas.register(desc.spec.clone());
-        assert_eq!(sid, iid, "platform id mismatch");
+        let sid = ServiceId(services.len() as u32);
+        for rt in nodes.iter_mut() {
+            let a = rt.serverless.register(desc.spec.clone());
+            let b = rt.iaas.register(desc.spec.clone());
+            assert!(a == sid && b == sid, "platform id mismatch");
+        }
+        let serverless = &nodes[0].serverless;
         let phases = serverless.service_phases(sid);
         let overhead = serverless.overhead_seconds(sid);
         let l0 = serverless.solo_latency_seconds(sid);
@@ -405,11 +416,9 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
     // Register the three contention meters (serverless only — they
     // never run on IaaS, and their ids come after all services).
     let meter_specs = [cpu_meter(), io_meter(), net_meter()];
-    let meter_ids: [ServiceId; 3] = [
-        serverless.register(meter_specs[0].clone()),
-        serverless.register(meter_specs[1].clone()),
-        serverless.register(meter_specs[2].clone()),
-    ];
+    let meter_ids: [ServiceId; 3] = meter_specs
+        .each_ref()
+        .map(|spec| nodes[0].serverless.register(spec.clone()));
     let meter_curves: [ProfileCurve; 3] = [0, 1, 2].map(|r| {
         let m = &meter_specs[r];
         let phases = [
@@ -445,8 +454,9 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
     // registration draws no RNG, and the cap override lets a spike
     // occupy the pool's full memory headroom.
     if let Some(trt) = tenancy.as_mut() {
-        let isid = serverless.register(interference_spec());
-        serverless.set_tenant_cap(isid, Some(exp.serverless_cfg.memory_container_cap()));
+        let node0 = &mut nodes[0].serverless;
+        let isid = node0.register(interference_spec());
+        node0.set_tenant_cap(isid, Some(exp.serverless_cfg.memory_container_cap()));
         trt.interference_sid = Some(isid);
     }
 
@@ -460,62 +470,29 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
     let mut engine = HybridEngine::new(services.len(), initial_fg_mode, exp.variant.prewarms());
     engine.set_ack_policy(exp.ack_timeout, exp.max_ack_retries);
 
-    // Multi-node fabric: remote platform pairs (registered in the same
-    // order as node 0, so service ids align), the per-service home map
-    // and the scheduler. Platform construction draws no randomness, so
-    // the RNG fork order above is untouched by the topology. Meters and
-    // chaos stay on node 0.
-    let n_nodes = exp.topology.node_count();
-    let mut fabric: Option<Fabric> = (n_nodes > 1).then(|| {
-        let nodes: Vec<NodeRt> = (1..n_nodes)
-            .map(|i| {
-                let cfg = exp.topology.scaled(&exp.serverless_cfg, NodeId::new(i));
-                let mut sl = ServerlessPlatform::new(cfg);
-                let mut ia = IaasPlatform::new(exp.iaas_cfg);
-                for desc in &descs {
-                    let a = sl.register(desc.spec.clone());
-                    let b = ia.register(desc.spec.clone());
-                    debug_assert_eq!(a, b, "remote platform id mismatch");
-                }
-                NodeRt {
-                    serverless: sl,
-                    iaas: ia,
-                }
-            })
-            .collect();
-        let home: Vec<NodeId> = match exp.scheduler {
-            Scheduler::EdgeAware => {
-                let demands: Vec<[f64; 3]> = descs
-                    .iter()
-                    .map(|s| {
-                        [
-                            s.spec.peak_qps * s.spec.demand.cpu_s,
-                            s.spec.peak_qps * s.spec.demand.io_mb,
-                            s.spec.peak_qps * s.spec.demand.net_mb,
-                        ]
-                    })
-                    .collect();
-                fabric::edge_aware_homes(&demands, &exp.topology, caps)
-            }
-            _ => (0..services.len())
-                .map(|i| NodeId::new(i % n_nodes))
-                .collect(),
-        };
-        for (idx, &h) in home.iter().enumerate() {
-            engine.set_home(ServiceId(idx as u32), h);
+    // Home node per service: where its switch protocol runs and its
+    // VM group lives.
+    let homes: Vec<NodeId> = match exp.scheduler {
+        Scheduler::EdgeAware => {
+            let demands: Vec<[f64; 3]> = descs
+                .iter()
+                .map(|s| {
+                    [
+                        s.spec.peak_qps * s.spec.demand.cpu_s,
+                        s.spec.peak_qps * s.spec.demand.io_mb,
+                        s.spec.peak_qps * s.spec.demand.net_mb,
+                    ]
+                })
+                .collect();
+            fabric::edge_aware_homes(&demands, &exp.topology, caps)
         }
-        Fabric {
-            nodes,
-            scheduler: exp.scheduler,
-            topology: exp.topology.clone(),
-            home,
-            node_submitted: vec![0; n_nodes],
-            node_completed: vec![0; n_nodes],
-            node_failed: vec![0; n_nodes],
-            node_spills: vec![0; n_nodes],
-            spill_total: 0,
-        }
-    });
+        _ => (0..services.len())
+            .map(|i| NodeId::new(i % n_nodes))
+            .collect(),
+    };
+    for (idx, &h) in homes.iter().enumerate() {
+        engine.set_home(ServiceId(idx as u32), h);
+    }
 
     if sink.enabled() {
         sink.record(TelemetryEvent::RunStarted {
@@ -588,28 +565,10 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
             engine.force_mode(ServiceId(idx as u32), DeployMode::Serverless);
         }
         if mode == DeployMode::Iaas {
-            let h = fabric.as_ref().map_or(NodeId::ZERO, |f| f.home[idx]);
-            if h == NodeId::ZERO {
-                bus.extend(iaas.activate(s.sid, t0));
-            } else {
-                // Remote-homed services boot their VM group on their
-                // home node; its schedule lands on the calendar as a
-                // node-tagged platform event.
-                let eff = fabric
-                    .as_mut()
-                    .unwrap()
-                    .node_mut(h)
-                    .iaas
-                    .activate(s.sid, t0);
-                for e in eff {
-                    match e {
-                        Effect::Schedule { after, event } => {
-                            queue.push(t0 + after, Ev::NodePlatform { node: h, event });
-                        }
-                        ack => bus.extend([ack]),
-                    }
-                }
-            }
+            // Each service boots its VM group on its home node.
+            let home = engine.home(s.sid);
+            let eff = nodes[home.index()].iaas.activate(s.sid, t0);
+            fabric::route_effects(home, eff, t0, &mut queue, &mut bus);
         }
     }
 
@@ -659,8 +618,8 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
 
     let n_services = services.len();
     SimWorld {
-        serverless,
-        iaas,
+        nodes,
+        placement: Placement::new(exp.scheduler, &exp.topology),
         controller,
         monitor,
         engine,
@@ -671,7 +630,6 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
         platform_rng,
         iaas_rng,
         chaos,
-        fabric,
         workflow,
         tenancy,
         drain_deadline: vec![None; n_services],
@@ -687,37 +645,5 @@ pub(crate) fn setup<S: TelemetrySink + ?Sized>(exp: &Experiment, sink: &mut S) -
         warmup_t: t0 + exp.warmup,
         heartbeat_period,
         n_max,
-    }
-}
-
-/// The node-0 simulated platforms wired up as the engine's command
-/// target: every `EngineAction` lands here through the
-/// [`TwoPlatformCommands`] surface (lifted onto the placement-target
-/// API by [`crate::engine::Legacy`]), and every platform response is
-/// pushed onto the effect bus — the only route by which engine
-/// decisions reach platform state.
-pub(crate) struct SimPlatforms<'a> {
-    pub(crate) serverless: &'a mut ServerlessPlatform,
-    pub(crate) iaas: &'a mut IaasPlatform,
-    pub(crate) rng: &'a mut SimRng,
-    pub(crate) effects: &'a mut Vec<Effect>,
-}
-
-impl TwoPlatformCommands for SimPlatforms<'_> {
-    fn prewarm(&mut self, service: ServiceId, count: u32, now: SimTime) {
-        self.effects
-            .extend(self.serverless.prewarm(service, count, now, self.rng));
-    }
-
-    fn activate_vms(&mut self, service: ServiceId, now: SimTime) {
-        self.effects.extend(self.iaas.activate(service, now));
-    }
-
-    fn release_containers(&mut self, service: ServiceId, _now: SimTime) {
-        self.serverless.release_service(service);
-    }
-
-    fn release_vms(&mut self, service: ServiceId, now: SimTime) {
-        self.effects.extend(self.iaas.release(service, now));
     }
 }

@@ -51,19 +51,6 @@ pub struct MultiNodePool {
 }
 
 impl MultiNodePool {
-    /// A pool of `n` identical nodes. Panics unless `1 ≤ n ≤ 255`.
-    #[deprecated(note = "describe the fleet with a TopologyConfig and use from_topology")]
-    pub fn new(node_cfg: ServerlessConfig, n: usize, placement: Placement) -> Self {
-        Self::from_topology(
-            &TopologyConfig {
-                node_scales: vec![1.0; n],
-                rtt_s: 0.0,
-            },
-            node_cfg,
-            placement,
-        )
-    }
-
     /// A pool shaped by a topology: one node per capacity scale, each
     /// running `base` scaled to its share. Panics unless the topology
     /// has `1 ≤ n ≤ 255` nodes.

@@ -76,7 +76,7 @@ const FLEET_WEEK_DIGEST: u64 = 0xe439_01c4_926d_c3c7;
 
 /// The acceptance run: 1,000 services, 7 diurnal days, digest-identical
 /// at 1, 2, 4 and 8 worker threads. Prints per-thread wall-clocks so
-/// the scaling record in results/BENCH_simcore.json can be re-measured.
+/// the scaling record in perfbench/BASELINE.json can be re-measured.
 #[test]
 #[ignore = "minutes-long; run with --ignored --nocapture"]
 fn fleet_week_digest_identical_across_threads() {
