@@ -609,6 +609,19 @@ mod tests {
             assert!(row["p95_dd"].as_f64().unwrap() > 0.0);
             assert!(row["p95_float"].as_f64().unwrap() > 0.0);
         }
+        // Exact seed-5 values: a flipped event/arrival tie rule or a
+        // reordered schedule changes them.
+        let pinned: [(&str, u64, u64, u64); 3] = [
+            ("round-robin", 112, 0x3fcdbe33acd5b680, 0x3fc09e6687f455a8),
+            ("least-loaded", 132, 0x3fcd8da3c21187e8, 0x3fc0b69552e2fbe3),
+            ("warm-affinity", 48, 0x3fe382795703f2d4, 0x3fc1790752da9867),
+        ];
+        for (row, (policy, cold, dd, fl)) in rows.iter().zip(pinned) {
+            assert_eq!(row["policy"].as_str(), Some(policy));
+            assert_eq!(row["cold_starts"].as_u64(), Some(cold), "{row}");
+            assert_eq!(row["p95_dd"].as_f64().unwrap().to_bits(), dd, "{row}");
+            assert_eq!(row["p95_float"].as_f64().unwrap().to_bits(), fl, "{row}");
+        }
     }
 
     #[test]

@@ -391,6 +391,8 @@ mod tests {
             (measured - solo).abs() / solo < 0.1,
             "measured {measured} vs solo {solo}"
         );
+        // Exact value: pins the harness's event/arrival tie order.
+        assert_eq!(measured.to_bits(), 0x3fbf73d188f42fe3, "{measured}");
     }
 
     #[test]
@@ -423,6 +425,10 @@ mod tests {
         let pressed = measure_p95_at_load(&cfg, &spec, 2.0, 0, 0.6, 20.0, 7);
         assert!(loaded >= base * 0.95, "load axis: {base} -> {loaded}");
         assert!(pressed > base * 1.2, "pressure axis: {base} -> {pressed}");
+        // Exact values: pin the harness's event/arrival tie order.
+        assert_eq!(base.to_bits(), 0x3fbf95810624dd2f, "{base}");
+        assert_eq!(loaded.to_bits(), 0x3fc0c0485a0be511, "{loaded}");
+        assert_eq!(pressed.to_bits(), 0x3fd1e92923e5b856, "{pressed}");
     }
 
     #[test]
