@@ -4,8 +4,8 @@
 
 use amoeba_bench::scenarios::run_cell;
 use amoeba_core::SystemVariant;
-use amoeba_platform::{ClusterEvent, Effect, Query, QueryId, ServerlessConfig, ServerlessPlatform};
-use amoeba_sim::{EventQueue, SimRng, SimTime};
+use amoeba_platform::{Driver, Effect, Query, QueryId, ServerlessConfig, ServerlessPlatform, Step};
+use amoeba_sim::{SimRng, SimTime};
 use amoeba_workload::benchmarks;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -15,45 +15,24 @@ fn serverless_batch(n: u64) -> usize {
     let mut p = ServerlessPlatform::new(ServerlessConfig::default());
     let mut rng = SimRng::seed_from_u64(7);
     let sid = p.register(benchmarks::float());
-    let mut queue: EventQueue<ClusterEvent> = EventQueue::new();
     let mut completions = 0usize;
-    let absorb = |effects: Vec<Effect>,
-                  now: SimTime,
-                  queue: &mut EventQueue<ClusterEvent>,
-                  completions: &mut usize| {
-        for e in effects {
-            match e {
-                Effect::Schedule { after, event } => {
-                    queue.push(now + after, event);
-                }
-                Effect::Completed(_) => *completions += 1,
-                _ => {}
-            }
+    let driver = Driver::new(|_, e| {
+        if let Effect::Completed(_) = e {
+            completions += 1;
         }
-    };
-    for i in 0..n {
-        let t = SimTime::from_millis(i * 25);
-        let q = Query {
-            id: QueryId(i),
-            service: sid,
-            submitted: t,
-        };
-        let eff = p.submit(q, t, &mut rng);
-        absorb(eff, t, &mut queue, &mut completions);
-        // Drain events that are due before the next arrival.
-        while let Some(peek) = queue.peek_time() {
-            if peek > SimTime::from_millis((i + 1) * 25) {
-                break;
-            }
-            let ev = queue.pop().unwrap();
-            let eff = p.handle(ev.payload, ev.time, &mut rng);
-            absorb(eff, ev.time, &mut queue, &mut completions);
+    });
+    let arrivals = (0..n).map(|i| (SimTime::from_millis(i * 25), i));
+    driver.run(arrivals, |now, step| match step {
+        Step::Arrival(i) => {
+            let q = Query {
+                id: QueryId(i),
+                service: sid,
+                submitted: now,
+            };
+            ((), p.submit(q, now, &mut rng))
         }
-    }
-    while let Some(ev) = queue.pop() {
-        let eff = p.handle(ev.payload, ev.time, &mut rng);
-        absorb(eff, ev.time, &mut queue, &mut completions);
-    }
+        Step::Event((), event) => ((), p.handle(event, now, &mut rng)),
+    });
     completions
 }
 

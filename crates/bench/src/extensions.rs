@@ -354,15 +354,63 @@ pub fn week(day_s: f64, seed: u64) -> Report {
     r
 }
 
-/// Placement-policy ablation on the multi-node pool: the same mixed
-/// workload over a 4-node fleet under round-robin, least-loaded and
+/// How the placement ablation picks a node for a new query.
+#[derive(Clone, Copy)]
+enum Policy {
+    /// Cycle through the nodes (OpenWhisk's default hashing is close to
+    /// this for a uniform key mix).
+    RoundRobin,
+    /// The node with the lowest maximum utilisation across
+    /// [cpu, io, net] — contention-aware placement.
+    LeastLoaded,
+    /// The first node holding a warm idle container for the service,
+    /// falling back to least-loaded.
+    WarmAffinity,
+}
+
+/// The node `policy` sends a new query of `service` to.
+fn place(
+    policy: Policy,
+    nodes: &[amoeba_platform::ServerlessPlatform],
+    rr_next: &mut usize,
+    service: amoeba_platform::ServiceId,
+) -> usize {
+    let least_loaded = || {
+        let mut best = 0;
+        let mut best_u = f64::MAX;
+        for (i, node) in nodes.iter().enumerate() {
+            let u = node.utilization();
+            let m = u[0].max(u[1]).max(u[2]);
+            if m < best_u {
+                best_u = m;
+                best = i;
+            }
+        }
+        best
+    };
+    match policy {
+        Policy::RoundRobin => {
+            let n = *rr_next;
+            *rr_next = (n + 1) % nodes.len();
+            n
+        }
+        Policy::LeastLoaded => least_loaded(),
+        Policy::WarmAffinity => nodes
+            .iter()
+            .position(|node| node.container_count(service) > node.busy_count(service))
+            .unwrap_or_else(least_loaded),
+    }
+}
+
+/// Placement-policy ablation on four standalone serverless nodes: the
+/// same mixed workload under round-robin, least-loaded and
 /// warm-affinity placement. Contention is per node, so placement moves
 /// both the tail latency and the cold-start count.
 pub fn ablation_placement(seed: u64) -> Report {
     use amoeba_platform::{
-        ClusterEvent, Effect, MultiNodePool, NodeId, Placement, Query, QueryId, TopologyConfig,
+        Driver, Effect, Query, QueryId, ServerlessConfig, ServerlessPlatform, ServiceId, Step,
     };
-    use amoeba_sim::{EventQueue, SimRng, SimTime};
+    use amoeba_sim::{SimRng, SimTime};
     let mut r = Report::new(
         "ablation-placement",
         "Multi-node placement policies: p95 latency and cold starts (4 nodes)",
@@ -379,90 +427,61 @@ pub fn ablation_placement(seed: u64) -> Report {
     ));
     let mut out = Vec::new();
     for (name, policy) in [
-        ("round-robin", Placement::RoundRobin),
-        ("least-loaded", Placement::LeastLoaded),
-        ("warm-affinity", Placement::WarmAffinity),
+        ("round-robin", Policy::RoundRobin),
+        ("least-loaded", Policy::LeastLoaded),
+        ("warm-affinity", Policy::WarmAffinity),
     ] {
-        let mut pool = MultiNodePool::from_topology(
-            &TopologyConfig {
-                node_scales: vec![1.0; 4],
-                rtt_s: 0.0,
-            },
-            amoeba_platform::ServerlessConfig::default(),
-            policy,
-        );
-        let dd = pool.register(amoeba_workload::benchmarks::dd());
-        let fl = pool.register(amoeba_workload::benchmarks::float());
+        // Every node hosts both services, under the same ids.
+        let mut nodes: Vec<ServerlessPlatform> = (0..4)
+            .map(|_| ServerlessPlatform::new(ServerlessConfig::default()))
+            .collect();
+        let (mut dd, mut fl) = (ServiceId(0), ServiceId(0));
+        for node in &mut nodes {
+            dd = node.register(amoeba_workload::benchmarks::dd());
+            fl = node.register(amoeba_workload::benchmarks::float());
+        }
         let mut rng = SimRng::seed_from_u64(seed);
-        let mut queue: EventQueue<ClusterEvent> = EventQueue::new();
+        let mut rr_next = 0;
         let mut rec_dd = amoeba_metrics::LatencyRecorder::new();
         let mut rec_fl = amoeba_metrics::LatencyRecorder::new();
         // 120s of mixed steady traffic: dd at 30 qps, float at 60 qps.
-        let _horizon = SimTime::from_secs(120);
-        let mut arrivals: Vec<(SimTime, amoeba_platform::ServiceId, u64)> = Vec::new();
+        let mut arrivals: Vec<(SimTime, (ServiceId, u64))> = Vec::new();
         let push_stream = |sid, qps: f64, base: u64, arrivals: &mut Vec<_>| {
             let gap_us = (1e6 / qps) as u64;
             let mut t = 0u64;
             let mut id = base;
             while t < 120_000_000 {
-                arrivals.push((SimTime::from_micros(t), sid, id));
+                arrivals.push((SimTime::from_micros(t), (sid, id)));
                 id += 1;
                 t += gap_us;
             }
         };
         push_stream(dd, 30.0, 0, &mut arrivals);
         push_stream(fl, 60.0, 1 << 32, &mut arrivals);
-        arrivals.sort_by_key(|&(t, _, id)| (t, id));
-        let mut next = 0usize;
-        loop {
-            let ev_t = queue.peek_time();
-            let ar_t = arrivals.get(next).map(|&(t, _, _)| t);
-            let take_event = match (ev_t, ar_t) {
-                (None, None) => break,
-                (Some(e), Some(a)) => e <= a,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-            };
-            let effects = if take_event {
-                let ev = queue.pop().unwrap();
-                pool.handle(ev.payload, ev.time, &mut rng)
-                    .into_iter()
-                    .map(|e| (ev.time, e))
-                    .collect::<Vec<_>>()
-            } else {
-                let (t, sid, id) = arrivals[next];
-                next += 1;
-                pool.submit(
-                    Query {
-                        id: QueryId(id),
-                        service: sid,
-                        submitted: t,
-                    },
-                    t,
-                    &mut rng,
-                )
-                .into_iter()
-                .map(|e| (t, e))
-                .collect::<Vec<_>>()
-            };
-            for (now, e) in effects {
-                match e {
-                    Effect::Schedule { after, event } => {
-                        queue.push(now + after, event);
-                    }
-                    Effect::Completed(o)
-                        // Skip the warmup third of the run.
-                        if o.query.submitted >= SimTime::from_secs(40) => {
-                            if o.query.service == dd {
-                                rec_dd.record(o.latency());
-                            } else {
-                                rec_fl.record(o.latency());
-                            }
-                        }
-                    _ => {}
+        arrivals.sort_by_key(|&(t, (_, id))| (t, id));
+        let driver = Driver::new(|_, effect| match effect {
+            // Skip the warmup third of the run.
+            Effect::Completed(o) if o.query.submitted >= SimTime::from_secs(40) => {
+                if o.query.service == dd {
+                    rec_dd.record(o.latency());
+                } else {
+                    rec_fl.record(o.latency());
                 }
             }
-        }
+            _ => {}
+        });
+        driver.run(arrivals, |now, step| match step {
+            Step::Arrival((service, id)) => {
+                let node = place(policy, &nodes, &mut rr_next, service);
+                let query = Query {
+                    id: QueryId(id),
+                    service,
+                    submitted: now,
+                };
+                (node, nodes[node].submit(query, now, &mut rng))
+            }
+            Step::Event(node, event) => (node, nodes[node].handle(event, now, &mut rng)),
+        });
         let p95_dd = rec_dd
             .quantile(0.95)
             .map(|d| d.as_secs_f64())
@@ -471,9 +490,7 @@ pub fn ablation_placement(seed: u64) -> Report {
             .quantile(0.95)
             .map(|d| d.as_secs_f64())
             .unwrap_or(0.0);
-        let cold: u64 = (0..pool.node_count())
-            .map(|i| pool.node(NodeId::new(i)).cold_start_count())
-            .sum();
+        let cold: u64 = nodes.iter().map(|n| n.cold_start_count()).sum();
         r.line(row(
             &[
                 name.into(),

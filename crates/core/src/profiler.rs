@@ -12,9 +12,10 @@
 
 use amoeba_meters::{meter_for, LatencySurface, ProfileCurve};
 use amoeba_platform::{
-    ClusterEvent, Effect, Query, QueryId, ServerlessConfig, ServerlessPlatform, ServiceId,
+    ClusterEvent, Driver, Effect, Query, QueryId, QueryOutcome, ServerlessConfig,
+    ServerlessPlatform, ServiceId, Step,
 };
-use amoeba_sim::{Distributions, EventQueue, SimDuration, SimRng, SimTime};
+use amoeba_sim::{Distributions, SimDuration, SimRng, SimTime};
 use amoeba_workload::{DemandVector, MicroserviceSpec, ResourceKind};
 
 /// A filler workload that stresses exactly one resource, used to hold the
@@ -50,6 +51,110 @@ fn filler_spec(resource: usize) -> MicroserviceSpec {
     }
 }
 
+/// The filler tenant, registered and sized to hold a target pressure.
+struct Filler {
+    id: ServiceId,
+    /// Arrival rate that lands exactly on the target pressure.
+    qps: f64,
+    /// The slowdown model's stretch at the target pressure.
+    slowdown: f64,
+    /// Contention-stretched residency of one filler query, seconds.
+    busy_s: f64,
+    /// Warm containers for the filler's steady concurrency.
+    containers: u32,
+}
+
+impl Filler {
+    fn register(
+        platform: &mut ServerlessPlatform,
+        cfg: &ServerlessConfig,
+        resource: usize,
+        pressure: f64,
+    ) -> Filler {
+        let spec = filler_spec(resource);
+        let id = platform.register(spec.clone());
+        let capacity = match resource {
+            0 => cfg.node.cores,
+            1 => cfg.node.disk_bw_mbps,
+            _ => cfg.node.nic_bw_mbps,
+        };
+        let per_query = match resource {
+            0 => spec.demand.cpu_s,
+            1 => spec.demand.io_mb,
+            _ => spec.demand.net_mb,
+        };
+        // Per-invocation resource totals are work-conserving in the
+        // platform, so the pool's utilisation is offered-load / capacity
+        // and this rate lands exactly on the target pressure. Executions
+        // still stretch under contention, so container residency (and
+        // the warm pool we need) grows by the slowdown factor.
+        let qps = pressure * capacity / per_query;
+        let kappa = cfg.slowdown_kappa[resource];
+        let slowdown = 1.0 + kappa * pressure * pressure / (1.0 - pressure);
+        let busy_s = platform.solo_latency_seconds(id) * slowdown;
+        let containers = ((qps * busy_s).ceil() as u32 + 4)
+            .min(cfg.tenant_container_cap)
+            .max(1);
+        Filler {
+            id,
+            qps,
+            slowdown,
+            busy_s,
+            containers,
+        }
+    }
+
+    /// Filler arrivals at deterministic uniform spacing (a steady
+    /// pressure plateau, not Poisson noise) from 2 s until `horizon`.
+    fn arrivals(&self, horizon: SimTime) -> Vec<(SimTime, ServiceId, u64)> {
+        let mut arrivals = Vec::new();
+        if self.qps > 0.0 {
+            let gap = SimDuration::from_secs_f64(1.0 / self.qps);
+            let mut t = SimTime::ZERO + SimDuration::from_secs(2);
+            let mut id = 0u64;
+            while t < horizon {
+                arrivals.push((t, self.id, (1 << 40) | id));
+                id += 1;
+                t += gap;
+            }
+        }
+        arrivals
+    }
+}
+
+/// Drive `platform` from time zero: apply the `initial` effects, then
+/// submit every arrival `(time, service, query id)`. Warm pools are
+/// kept alive until `horizon`; every completion goes to `on_complete`.
+fn drive(
+    platform: &mut ServerlessPlatform,
+    rng: &mut SimRng,
+    initial: Vec<Effect>,
+    mut arrivals: Vec<(SimTime, ServiceId, u64)>,
+    horizon: SimTime,
+    mut on_complete: impl FnMut(QueryOutcome),
+) {
+    arrivals.sort_by_key(|&(t, _, id)| (t, id));
+    let mut driver = Driver::new(|_, effect| {
+        if let Effect::Completed(o) = effect {
+            on_complete(o);
+        }
+    });
+    driver.apply(SimTime::ZERO, (), initial);
+    let arrivals = arrivals.into_iter().map(|(t, sid, id)| (t, (sid, id)));
+    driver.run(arrivals, |now, step| match step {
+        Step::Arrival((service, id)) => {
+            let query = Query {
+                id: QueryId(id),
+                service,
+                submitted: now,
+            };
+            ((), platform.submit(query, now, rng))
+        }
+        Step::Event((), ClusterEvent::ContainerExpire { .. }) if now < horizon => ((), Vec::new()),
+        Step::Event((), event) => ((), platform.handle(event, now, rng)),
+    });
+}
+
 /// Mean warm-hit latency (seconds) of `subject` probes while a filler
 /// holds `pressure` utilisation on `resource`. Deterministic for a given
 /// seed.
@@ -65,119 +170,33 @@ pub fn measure_latency_under_pressure(
     let mut platform = ServerlessPlatform::new(*cfg);
     let mut rng = SimRng::seed_from_u64(seed);
     let subject_id = platform.register(subject.clone());
-    let filler = filler_spec(resource);
-    let filler_id = platform.register(filler.clone());
-
-    // Filler rate to hold the target utilisation.
-    let capacity = match resource {
-        0 => cfg.node.cores,
-        1 => cfg.node.disk_bw_mbps,
-        _ => cfg.node.nic_bw_mbps,
-    };
-    let per_query = match resource {
-        0 => filler.demand.cpu_s,
-        1 => filler.demand.io_mb,
-        _ => filler.demand.net_mb,
-    };
-    // Per-invocation resource totals are work-conserving in the
-    // platform, so the pool's utilisation is offered-load / capacity and
-    // this rate lands exactly on the target pressure. Executions still
-    // stretch under contention, so container residency (and the warm
-    // pool we need) grows by the slowdown factor.
-    let filler_qps = pressure * capacity / per_query;
-    let kappa = cfg.slowdown_kappa[resource];
-    let slowdown = 1.0 + kappa * pressure * pressure / (1.0 - pressure);
-    let filler_busy_s = platform.solo_latency_seconds(filler_id) * slowdown;
-    let filler_containers = ((filler_qps * filler_busy_s).ceil() as u32 + 4)
-        .min(cfg.tenant_container_cap)
-        .max(1);
+    let filler = Filler::register(&mut platform, cfg, resource, pressure);
 
     let t0 = SimTime::ZERO;
     // The pool needs one full (contention-stretched) busy period to ramp
     // to its steady concurrency before probes are representative.
-    let warmup = SimDuration::from_secs(8) + SimDuration::from_secs_f64(3.0 * filler_busy_s);
+    let warmup = SimDuration::from_secs(8) + SimDuration::from_secs_f64(3.0 * filler.busy_s);
     let probe_gap = SimDuration::from_millis(500);
     let horizon = t0 + warmup + probe_gap * (probes as u64 + 4);
 
     // Warm both tenants up front so probes measure contention, not cold
     // starts.
     let mut initial = platform.prewarm(subject_id, 2, t0, &mut rng);
-    initial.extend(platform.prewarm(filler_id, filler_containers, t0, &mut rng));
+    initial.extend(platform.prewarm(filler.id, filler.containers, t0, &mut rng));
 
-    // Precompute both arrival schedules: filler at deterministic uniform
-    // spacing (a steady pressure plateau, not Poisson noise), probes
-    // every `probe_gap` after warmup.
-    let mut arrivals: Vec<(SimTime, ServiceId, u64)> = Vec::new();
-    if filler_qps > 0.0 {
-        let gap = SimDuration::from_secs_f64(1.0 / filler_qps);
-        let mut t = t0 + SimDuration::from_secs(2);
-        let mut id = 0u64;
-        while t < horizon {
-            arrivals.push((t, filler_id, 1 << 40 | id));
-            id += 1;
-            t += gap;
-        }
-    }
+    // Probes every `probe_gap` after warmup.
+    let mut arrivals = filler.arrivals(horizon);
     for k in 0..probes {
         let t = t0 + warmup + probe_gap * k as u64;
         arrivals.push((t, subject_id, k as u64));
     }
-    arrivals.sort_by_key(|&(t, _, id)| (t, id));
 
-    let mut queue: EventQueue<ClusterEvent> = EventQueue::new();
     let mut latencies: Vec<f64> = Vec::new();
-    let absorb = |effects: Vec<Effect>,
-                  now: SimTime,
-                  queue: &mut EventQueue<ClusterEvent>,
-                  latencies: &mut Vec<f64>| {
-        for e in effects {
-            match e {
-                Effect::Schedule { after, event } => {
-                    queue.push(now + after, event);
-                }
-                Effect::Completed(o)
-                    if o.query.service == subject_id
-                        && o.breakdown.cold_start == SimDuration::ZERO =>
-                {
-                    latencies.push(o.latency().as_secs_f64());
-                }
-                _ => {}
-            }
+    drive(&mut platform, &mut rng, initial, arrivals, horizon, |o| {
+        if o.query.service == subject_id && o.breakdown.cold_start == SimDuration::ZERO {
+            latencies.push(o.latency().as_secs_f64());
         }
-    };
-    absorb(initial, t0, &mut queue, &mut latencies);
-
-    // Single loop interleaving platform events and the arrival schedule.
-    let mut next_arrival = 0usize;
-    loop {
-        let next_event_t = queue.peek_time();
-        let next_arr_t = arrivals.get(next_arrival).map(|&(t, _, _)| t);
-        let take_event = match (next_event_t, next_arr_t) {
-            (None, None) => break,
-            (Some(et), Some(at)) => et <= at,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-        };
-        if take_event {
-            let ev = queue.pop().unwrap();
-            // Keep warm pools alive during the measurement window.
-            if matches!(ev.payload, ClusterEvent::ContainerExpire { .. }) && ev.time < horizon {
-                continue;
-            }
-            let eff = platform.handle(ev.payload, ev.time, &mut rng);
-            absorb(eff, ev.time, &mut queue, &mut latencies);
-        } else {
-            let (t, sid, raw) = arrivals[next_arrival];
-            next_arrival += 1;
-            let q = Query {
-                id: QueryId(raw),
-                service: sid,
-                submitted: t,
-            };
-            let eff = platform.submit(q, t, &mut rng);
-            absorb(eff, t, &mut queue, &mut latencies);
-        }
-    }
+    });
 
     assert!(!latencies.is_empty(), "no warm probe completed");
     latencies.iter().sum::<f64>() / latencies.len() as f64
@@ -225,50 +244,20 @@ pub fn measure_p95_at_load(
     let mut platform = ServerlessPlatform::new(*cfg);
     let mut rng = SimRng::seed_from_u64(seed);
     let subject_id = platform.register(subject.clone());
-    let filler = filler_spec(resource);
-    let filler_id = platform.register(filler.clone());
-
-    let capacity = match resource {
-        0 => cfg.node.cores,
-        1 => cfg.node.disk_bw_mbps,
-        _ => cfg.node.nic_bw_mbps,
-    };
-    let per_query = match resource {
-        0 => filler.demand.cpu_s,
-        1 => filler.demand.io_mb,
-        _ => filler.demand.net_mb,
-    };
-    let filler_qps = pressure * capacity / per_query;
-    let kappa = cfg.slowdown_kappa[resource];
-    let slowdown = 1.0 + kappa * pressure * pressure / (1.0 - pressure);
-    let filler_busy_s = platform.solo_latency_seconds(filler_id) * slowdown;
-    let filler_containers = ((filler_qps * filler_busy_s).ceil() as u32 + 4)
-        .min(cfg.tenant_container_cap)
-        .max(1);
-    let subject_busy_s = platform.solo_latency_seconds(subject_id) * slowdown;
+    let filler = Filler::register(&mut platform, cfg, resource, pressure);
+    let subject_busy_s = platform.solo_latency_seconds(subject_id) * filler.slowdown;
     let subject_containers = ((load_qps * subject_busy_s).ceil() as u32 + 2)
         .min(cfg.tenant_container_cap)
         .max(1);
 
     let t0 = SimTime::ZERO;
-    let warmup = SimDuration::from_secs(6) + SimDuration::from_secs_f64(3.0 * filler_busy_s);
+    let warmup = SimDuration::from_secs(6) + SimDuration::from_secs_f64(3.0 * filler.busy_s);
     let horizon = t0 + warmup + SimDuration::from_secs_f64(window_s);
 
     let mut initial = platform.prewarm(subject_id, subject_containers, t0, &mut rng);
-    initial.extend(platform.prewarm(filler_id, filler_containers, t0, &mut rng));
+    initial.extend(platform.prewarm(filler.id, filler.containers, t0, &mut rng));
 
-    // Both streams at deterministic uniform spacing.
-    let mut arrivals: Vec<(SimTime, ServiceId, u64)> = Vec::new();
-    if filler_qps > 0.0 {
-        let gap = SimDuration::from_secs_f64(1.0 / filler_qps);
-        let mut t = t0 + SimDuration::from_secs(2);
-        let mut id = 0u64;
-        while t < horizon {
-            arrivals.push((t, filler_id, (1 << 40) | id));
-            id += 1;
-            t += gap;
-        }
-    }
+    let mut arrivals = filler.arrivals(horizon);
     {
         // Subject arrivals are Poisson — the M/M/N surface this grid
         // point is compared against assumes exponential inter-arrivals,
@@ -284,56 +273,13 @@ pub fn measure_p95_at_load(
             id += 1;
         }
     }
-    arrivals.sort_by_key(|&(t, _, id)| (t, id));
 
-    let mut queue: EventQueue<ClusterEvent> = EventQueue::new();
     let mut recorder = amoeba_metrics::LatencyRecorder::new();
-    let absorb = |effects: Vec<Effect>,
-                  now: SimTime,
-                  queue: &mut EventQueue<ClusterEvent>,
-                  recorder: &mut amoeba_metrics::LatencyRecorder| {
-        for e in effects {
-            match e {
-                Effect::Schedule { after, event } => {
-                    queue.push(now + after, event);
-                }
-                Effect::Completed(o) if o.query.service.raw() == 0 => {
-                    recorder.record(o.latency());
-                }
-                _ => {}
-            }
+    drive(&mut platform, &mut rng, initial, arrivals, horizon, |o| {
+        if o.query.service == subject_id {
+            recorder.record(o.latency());
         }
-    };
-    absorb(initial, t0, &mut queue, &mut recorder);
-    let mut next_arrival = 0usize;
-    loop {
-        let next_event_t = queue.peek_time();
-        let next_arr_t = arrivals.get(next_arrival).map(|&(t, _, _)| t);
-        let take_event = match (next_event_t, next_arr_t) {
-            (None, None) => break,
-            (Some(et), Some(at)) => et <= at,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-        };
-        if take_event {
-            let ev = queue.pop().unwrap();
-            if matches!(ev.payload, ClusterEvent::ContainerExpire { .. }) && ev.time < horizon {
-                continue;
-            }
-            let eff = platform.handle(ev.payload, ev.time, &mut rng);
-            absorb(eff, ev.time, &mut queue, &mut recorder);
-        } else {
-            let (t, sid, raw) = arrivals[next_arrival];
-            next_arrival += 1;
-            let q = Query {
-                id: QueryId(raw),
-                service: sid,
-                submitted: t,
-            };
-            let eff = platform.submit(q, t, &mut rng);
-            absorb(eff, t, &mut queue, &mut recorder);
-        }
-    }
+    });
     recorder
         .quantile(subject.qos_percentile)
         .expect("subject queries completed")

@@ -27,8 +27,8 @@ use super::effects::EffectBus;
 use super::{faults, Ev, Experiment, MultiNodeSummary, NodeTotals, SimWorld};
 use crate::engine::RouteTarget;
 use amoeba_platform::{
-    fleet_max_utilization, fleet_mean_utilization, ClusterEvent, Effect, IaasPlatform, NodeId,
-    Query, Scheduler, ServerlessPlatform, TopologyConfig,
+    ClusterEvent, Effect, IaasPlatform, NodeId, Query, Scheduler, ServerlessPlatform,
+    TopologyConfig,
 };
 use amoeba_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use amoeba_telemetry::TelemetrySink;
@@ -109,11 +109,19 @@ fn least_loaded(nodes: &[NodeRt], exclude: Option<NodeId>) -> NodeId {
 
 /// Fleet-wide mean and max serverless utilization over every node.
 pub(crate) fn fleet_utilization(nodes: &[NodeRt]) -> ([f64; 3], f64) {
-    let pools = nodes.iter().map(|n| &n.serverless);
-    (
-        fleet_mean_utilization(pools.clone()),
-        fleet_max_utilization(pools),
-    )
+    let mut mean = [0.0; 3];
+    let mut max = 0.0;
+    for node in nodes {
+        let u = node.serverless.utilization();
+        for (m, x) in mean.iter_mut().zip(u) {
+            *m += x;
+        }
+        max = f64::max(max, u[0].max(u[1]).max(u[2]));
+    }
+    for m in &mut mean {
+        *m /= nodes.len() as f64;
+    }
+    (mean, max)
 }
 
 /// Placement state: the scheduler, the inter-node link and the

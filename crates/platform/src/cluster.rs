@@ -1,9 +1,10 @@
 //! Events and effects shared by both platforms.
 //!
 //! The platforms are passive: methods return [`Effect`]s, and the event
-//! loop (in `amoeba-core::runtime`) turns `Effect::Schedule` into entries
-//! of an [`amoeba_sim::EventQueue`] and feeds fired [`ClusterEvent`]s
-//! back into the right platform.
+//! loop (the runtime kernel in `amoeba-core::runtime`, or a standalone
+//! [`crate::Driver`]) turns `Effect::Schedule` into entries of an
+//! [`amoeba_sim::EventQueue`] and feeds fired [`ClusterEvent`]s back
+//! into the right platform.
 
 use crate::ids::{ContainerId, ServiceId};
 use crate::query::QueryOutcome;
@@ -81,43 +82,4 @@ pub enum Effect {
         /// The service whose group drained.
         service: ServiceId,
     },
-}
-
-impl Effect {
-    /// Convenience: split a batch of effects into (schedules, rest).
-    pub fn partition(effects: Vec<Effect>) -> (Vec<(SimDuration, ClusterEvent)>, Vec<Effect>) {
-        let mut sched = Vec::new();
-        let mut rest = Vec::new();
-        for e in effects {
-            match e {
-                Effect::Schedule { after, event } => sched.push((after, event)),
-                other => rest.push(other),
-            }
-        }
-        (sched, rest)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn partition_splits_schedules() {
-        let effects = vec![
-            Effect::Schedule {
-                after: SimDuration::from_secs(1),
-                event: ClusterEvent::VmBootDone {
-                    service: ServiceId(0),
-                },
-            },
-            Effect::PrewarmReady {
-                service: ServiceId(1),
-            },
-        ];
-        let (sched, rest) = Effect::partition(effects);
-        assert_eq!(sched.len(), 1);
-        assert_eq!(rest.len(), 1);
-        assert!(matches!(rest[0], Effect::PrewarmReady { .. }));
-    }
 }

@@ -366,6 +366,7 @@ impl IaasPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive::{Driver, Step};
     use crate::ids::QueryId;
     use amoeba_workload::benchmarks;
 
@@ -389,29 +390,17 @@ mod tests {
         initial: Vec<Effect>,
         start: SimTime,
     ) -> (Vec<QueryOutcome>, Vec<Effect>) {
-        let mut queue = amoeba_sim::EventQueue::new();
         let mut outcomes = Vec::new();
         let mut other = Vec::new();
-        let absorb = |effects: Vec<Effect>,
-                      now: SimTime,
-                      queue: &mut amoeba_sim::EventQueue<ClusterEvent>,
-                      outcomes: &mut Vec<QueryOutcome>,
-                      other: &mut Vec<Effect>| {
-            for e in effects {
-                match e {
-                    Effect::Schedule { after, event } => {
-                        queue.push(now + after, event);
-                    }
-                    Effect::Completed(o) => outcomes.push(o),
-                    e => other.push(e),
-                }
-            }
-        };
-        absorb(initial, start, &mut queue, &mut outcomes, &mut other);
-        while let Some(ev) = queue.pop() {
-            let effects = p.handle(ev.payload, ev.time, rng);
-            absorb(effects, ev.time, &mut queue, &mut outcomes, &mut other);
-        }
+        let mut driver = Driver::new(|_, e| match e {
+            Effect::Completed(o) => outcomes.push(o),
+            e => other.push(e),
+        });
+        driver.apply(start, (), initial);
+        driver.run(std::iter::empty(), |now, step| match step {
+            Step::Event((), event) => ((), p.handle(event, now, rng)),
+            Step::Arrival(()) => unreachable!("no arrivals"),
+        });
         (outcomes, other)
     }
 

@@ -6,8 +6,8 @@
 //! Both platforms are *passive state machines*: every method takes the
 //! current [`amoeba_sim::SimTime`] and returns [`Effect`]s — future
 //! events to schedule and query completions to record. The event loop
-//! that drives them lives in `amoeba-core::runtime`, which keeps each
-//! platform unit-testable in isolation.
+//! that drives them in an experiment lives in `amoeba-core::runtime`;
+//! standalone harnesses and unit tests drive them with a [`Driver`].
 //!
 //! What the serverless model reproduces from the paper:
 //!
@@ -27,9 +27,9 @@
 
 pub mod cluster;
 pub mod config;
+pub mod drive;
 pub mod iaas;
 pub mod ids;
-pub mod multinode;
 pub mod placement;
 pub mod query;
 pub mod resources;
@@ -38,9 +38,9 @@ pub mod slab;
 
 pub use cluster::{ClusterEvent, Effect};
 pub use config::{IaasConfig, NodeConfig, ServerlessConfig};
+pub use drive::{Driver, Step};
 pub use iaas::{required_cores, IaasPlatform};
 pub use ids::{ContainerId, NodeId, QueryId, ServiceId};
-pub use multinode::{fleet_max_utilization, fleet_mean_utilization, MultiNodePool, Placement};
 pub use placement::{PlacementTarget, Scheduler, TargetId, TargetMode, TopologyConfig};
 pub use query::{ExecutedOn, LatencyBreakdown, Query, QueryOutcome};
 pub use resources::SharedResources;

@@ -1,4 +1,5 @@
 use super::*;
+use crate::drive::{Driver, Step};
 use crate::ids::QueryId;
 use amoeba_workload::benchmarks;
 
@@ -15,9 +16,40 @@ fn q(id: u64, service: ServiceId, at: SimTime) -> Query {
     }
 }
 
-/// Drive the platform's own effects to completion, returning
-/// outcomes. A miniature event loop for unit tests. Processes
-/// keep-alive expiry, so containers are gone afterwards; use
+/// Drive the platform's own effects to completion with a [`Driver`],
+/// returning every non-schedule effect with its time. `keep_warm`
+/// declines `ContainerExpire` events, leaving warm containers alive
+/// for follow-up submissions.
+fn drive(
+    platform: &mut ServerlessPlatform,
+    rng: &mut SimRng,
+    initial: Vec<Effect>,
+    start: SimTime,
+    keep_warm: bool,
+) -> Vec<(SimTime, Effect)> {
+    let mut effects = Vec::new();
+    let mut driver = Driver::new(|now, e| effects.push((now, e)));
+    driver.apply(start, (), initial);
+    driver.run(std::iter::empty(), |now, step| match step {
+        Step::Event((), ClusterEvent::ContainerExpire { .. }) if keep_warm => ((), Vec::new()),
+        Step::Event((), event) => ((), platform.handle(event, now, rng)),
+        Step::Arrival(()) => unreachable!("no arrivals"),
+    });
+    effects
+}
+
+fn completions(effects: Vec<(SimTime, Effect)>) -> Vec<QueryOutcome> {
+    effects
+        .into_iter()
+        .filter_map(|(_, e)| match e {
+            Effect::Completed(o) => Some(o),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Drive to completion, returning outcomes. Processes keep-alive
+/// expiry, so containers are gone afterwards; use
 /// [`run_effects_keep_warm`] to keep them.
 fn run_effects(
     platform: &mut ServerlessPlatform,
@@ -25,7 +57,7 @@ fn run_effects(
     initial: Vec<Effect>,
     start: SimTime,
 ) -> Vec<QueryOutcome> {
-    run_effects_inner(platform, rng, initial, start, true)
+    completions(drive(platform, rng, initial, start, false))
 }
 
 /// Like [`run_effects`] but drops `ContainerExpire` events, leaving
@@ -36,41 +68,7 @@ fn run_effects_keep_warm(
     initial: Vec<Effect>,
     start: SimTime,
 ) -> Vec<QueryOutcome> {
-    run_effects_inner(platform, rng, initial, start, false)
-}
-
-fn run_effects_inner(
-    platform: &mut ServerlessPlatform,
-    rng: &mut SimRng,
-    initial: Vec<Effect>,
-    start: SimTime,
-    process_expiry: bool,
-) -> Vec<QueryOutcome> {
-    let mut queue = amoeba_sim::EventQueue::new();
-    let mut outcomes = Vec::new();
-    let absorb = |effects: Vec<Effect>,
-                  now: SimTime,
-                  queue: &mut amoeba_sim::EventQueue<ClusterEvent>,
-                  outcomes: &mut Vec<QueryOutcome>| {
-        for e in effects {
-            match e {
-                Effect::Schedule { after, event } => {
-                    queue.push(now + after, event);
-                }
-                Effect::Completed(o) => outcomes.push(o),
-                _ => {}
-            }
-        }
-    };
-    absorb(initial, start, &mut queue, &mut outcomes);
-    while let Some(ev) = queue.pop() {
-        if !process_expiry && matches!(ev.payload, ClusterEvent::ContainerExpire { .. }) {
-            continue;
-        }
-        let effects = platform.handle(ev.payload, ev.time, rng);
-        absorb(effects, ev.time, &mut queue, &mut outcomes);
-    }
-    outcomes
+    completions(drive(platform, rng, initial, start, true))
 }
 
 #[test]
@@ -111,20 +109,13 @@ fn crashing_a_prewarm_swallows_the_ack() {
     assert!(report.was_prewarm);
     assert!(report.displaced.is_none());
     // Driving the stale cold-start event must not produce the ack.
-    let mut queue = amoeba_sim::EventQueue::new();
-    for e in eff {
-        if let Effect::Schedule { after, event } = e {
-            queue.push(t0 + after, event);
-        }
-    }
-    while let Some(ev) = queue.pop() {
-        for e in p.handle(ev.payload, ev.time, &mut rng) {
-            assert!(
-                !matches!(e, Effect::PrewarmReady { .. }),
-                "ack must be lost with the crashed prewarm"
-            );
-        }
-    }
+    let effects = drive(&mut p, &mut rng, eff, t0, false);
+    assert!(
+        !effects
+            .iter()
+            .any(|(_, e)| matches!(e, Effect::PrewarmReady { .. })),
+        "ack must be lost with the crashed prewarm"
+    );
 }
 
 #[test]
@@ -380,40 +371,18 @@ fn prewarm_creates_idle_containers_and_acks() {
     let sid = p.register(benchmarks::float());
     let t0 = SimTime::ZERO;
     let eff = p.prewarm(sid, 5, t0, &mut rng);
-    // The ack arrives via effects after warming; run them.
-    let mut saw_ready = false;
-    let mut queue = amoeba_sim::EventQueue::new();
-    for e in eff {
-        match e {
-            Effect::Schedule { after, event } => {
-                queue.push(t0 + after, event);
-            }
-            Effect::PrewarmReady { service } => {
-                assert_eq!(service, sid);
-                saw_ready = true;
-            }
-            _ => {}
-        }
-    }
-    while let Some(ev) = queue.pop() {
-        // Stop before keep-alive expiry wipes them out again.
-        if matches!(ev.payload, ClusterEvent::ContainerExpire { .. }) {
-            continue;
-        }
-        for e in p.handle(ev.payload, ev.time, &mut rng) {
-            match e {
-                Effect::Schedule { after, event } => {
-                    queue.push(ev.time + after, event);
-                }
-                Effect::PrewarmReady { service } => {
-                    assert_eq!(service, sid);
-                    saw_ready = true;
-                }
-                _ => {}
-            }
-        }
-    }
-    assert!(saw_ready);
+    // The ack arrives via effects after warming; run them, stopping
+    // before keep-alive expiry wipes the containers out again.
+    let effects = drive(&mut p, &mut rng, eff, t0, true);
+    let acks: Vec<ServiceId> = effects
+        .iter()
+        .filter_map(|(_, e)| match e {
+            Effect::PrewarmReady { service } => Some(*service),
+            _ => None,
+        })
+        .collect();
+    assert!(!acks.is_empty());
+    assert!(acks.iter().all(|&service| service == sid));
     assert_eq!(p.container_count(sid), 5);
     assert_eq!(p.busy_count(sid), 0);
 }
@@ -438,22 +407,12 @@ fn prewarmed_queries_skip_cold_start() {
     let t0 = SimTime::ZERO;
     let eff = p.prewarm(sid, 4, t0, &mut rng);
     // Warm them up (drop expire events to keep them alive).
-    let mut queue = amoeba_sim::EventQueue::new();
-    let (sched, _) = Effect::partition(eff);
-    for (after, event) in sched {
-        queue.push(t0 + after, event);
-    }
-    let mut ready_at = t0;
-    while let Some(ev) = queue.pop() {
-        if matches!(ev.payload, ClusterEvent::ContainerExpire { .. }) {
-            continue;
-        }
-        ready_at = ev.time;
-        let (sched, _) = Effect::partition(p.handle(ev.payload, ev.time, &mut rng));
-        for (after, event) in sched {
-            queue.push(ev.time + after, event);
-        }
-    }
+    let effects = drive(&mut p, &mut rng, eff, t0, true);
+    let ready_at = effects
+        .iter()
+        .find(|(_, e)| matches!(e, Effect::PrewarmReady { .. }))
+        .map(|&(at, _)| at)
+        .expect("prewarm acked");
     let t1 = ready_at + SimDuration::from_secs(1);
     let eff = p.submit(q(9, sid, t1), t1, &mut rng);
     let before = p.cold_start_count();
@@ -470,20 +429,7 @@ fn release_service_drops_idle_containers() {
     let t0 = SimTime::ZERO;
     let eff = p.prewarm(sid, 3, t0, &mut rng);
     // Warm them (skip expires).
-    let mut queue = amoeba_sim::EventQueue::new();
-    let (sched, _) = Effect::partition(eff);
-    for (after, event) in sched {
-        queue.push(t0 + after, event);
-    }
-    while let Some(ev) = queue.pop() {
-        if matches!(ev.payload, ClusterEvent::ContainerExpire { .. }) {
-            continue;
-        }
-        let (sched, _) = Effect::partition(p.handle(ev.payload, ev.time, &mut rng));
-        for (after, event) in sched {
-            queue.push(ev.time + after, event);
-        }
-    }
+    run_effects_keep_warm(&mut p, &mut rng, eff, t0);
     assert_eq!(p.container_count(sid), 3);
     p.release_service(sid);
     assert_eq!(p.container_count(sid), 0);

@@ -3,9 +3,9 @@
 //! complete simulation).
 
 use amoeba::platform::{
-    ClusterEvent, Effect, Query, QueryId, ServerlessConfig, ServerlessPlatform,
+    Driver, Effect, Query, QueryId, ServerlessConfig, ServerlessPlatform, Step,
 };
-use amoeba::sim::{EventQueue, SimDuration, SimRng, SimTime};
+use amoeba::sim::{SimDuration, SimRng, SimTime};
 use amoeba::workload::{DemandVector, MicroserviceSpec};
 use proptest::prelude::*;
 
@@ -33,53 +33,31 @@ fn drive(spec: MicroserviceSpec, arrivals_ms: Vec<u64>, seed: u64) -> (usize, Ve
     let mut platform = ServerlessPlatform::new(ServerlessConfig::default());
     let mut rng = SimRng::seed_from_u64(seed);
     let sid = platform.register(spec);
-    let mut queue: EventQueue<ClusterEvent> = EventQueue::new();
     let mut latencies = Vec::new();
-    let mut completions = 0usize;
-    let absorb = |effects: Vec<Effect>,
-                  now: SimTime,
-                  queue: &mut EventQueue<ClusterEvent>,
-                  latencies: &mut Vec<f64>,
-                  completions: &mut usize| {
-        for e in effects {
-            match e {
-                Effect::Schedule { after, event } => {
-                    queue.push(now + after, event);
-                }
-                Effect::Completed(o) => {
-                    *completions += 1;
-                    latencies.push(o.latency().as_secs_f64());
-                }
-                _ => {}
-            }
+    let driver = Driver::new(|_, e| {
+        if let Effect::Completed(o) = e {
+            latencies.push(o.latency().as_secs_f64());
         }
-    };
-    // Interleave arrivals with due platform events (arrivals are sorted).
-    let mut sorted = arrivals_ms.clone();
+    });
+    // Arrivals must be sorted; due platform events run first.
+    let mut sorted = arrivals_ms;
     sorted.sort_unstable();
-    for (i, &ms) in sorted.iter().enumerate() {
-        let t = SimTime::ZERO + SimDuration::from_millis(ms);
-        while let Some(peek) = queue.peek_time() {
-            if peek > t {
-                break;
-            }
-            let ev = queue.pop().unwrap();
-            let eff = platform.handle(ev.payload, ev.time, &mut rng);
-            absorb(eff, ev.time, &mut queue, &mut latencies, &mut completions);
+    let arrivals = sorted
+        .iter()
+        .enumerate()
+        .map(|(i, &ms)| (SimTime::ZERO + SimDuration::from_millis(ms), i as u64));
+    driver.run(arrivals, |now, step| match step {
+        Step::Arrival(i) => {
+            let q = Query {
+                id: QueryId(i),
+                service: sid,
+                submitted: now,
+            };
+            ((), platform.submit(q, now, &mut rng))
         }
-        let q = Query {
-            id: QueryId(i as u64),
-            service: sid,
-            submitted: t,
-        };
-        let eff = platform.submit(q, t, &mut rng);
-        absorb(eff, t, &mut queue, &mut latencies, &mut completions);
-    }
-    while let Some(ev) = queue.pop() {
-        let eff = platform.handle(ev.payload, ev.time, &mut rng);
-        absorb(eff, ev.time, &mut queue, &mut latencies, &mut completions);
-    }
-    (completions, latencies)
+        Step::Event((), event) => ((), platform.handle(event, now, &mut rng)),
+    });
+    (latencies.len(), latencies)
 }
 
 proptest! {
