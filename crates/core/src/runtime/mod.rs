@@ -261,13 +261,23 @@ impl Experiment {
     /// then pop → dispatch → apply-effects until the calendar drains.
     fn run_mono<S: TelemetrySink + ?Sized>(&self, sink: &mut S) -> RunResult {
         let mut world = world::setup(self, sink);
-        while let Some(fired) = world.queue.pop() {
-            let now = fired.time;
-            dispatch(self, &mut world, fired.payload, now, sink);
-            effects::apply(self, &mut world, now, sink);
-        }
+        while step(self, &mut world, sink) {}
         results::finish(self, world)
     }
+}
+
+/// One kernel step: pop the next calendar event, dispatch it, then
+/// apply the effects it left on the bus. `false` once the calendar has
+/// drained.
+#[inline(always)]
+fn step<S: TelemetrySink + ?Sized>(exp: &Experiment, world: &mut SimWorld, sink: &mut S) -> bool {
+    let Some(fired) = world.queue.pop() else {
+        return false;
+    };
+    let now = fired.time;
+    dispatch(exp, world, fired.payload, now, sink);
+    effects::apply(exp, world, now, sink);
+    true
 }
 
 /// Route one calendar event to its domain handler. Pure fan-out: every

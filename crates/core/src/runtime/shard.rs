@@ -15,7 +15,7 @@
 //! ([`EpochRun::set_external_pressure`], [`EpochRun::set_service_caps`])
 //! — the only channel by which cells interact.
 
-use super::{dispatch, effects, results, world, Experiment, RunResult};
+use super::{results, step, world, Experiment, RunResult};
 use amoeba_sim::SimTime;
 use amoeba_telemetry::TelemetrySink;
 
@@ -63,20 +63,14 @@ impl EpochRun {
     /// into epochs never reorders events across the boundary.
     pub fn run_until<S: TelemetrySink + ?Sized>(&mut self, until: SimTime, sink: &mut S) {
         while matches!(self.world.queue.peek_time(), Some(t) if t < until) {
-            let fired = self.world.queue.pop().expect("peeked event");
-            let now = fired.time;
-            dispatch(&self.exp, &mut self.world, fired.payload, now, sink);
-            effects::apply(&self.exp, &mut self.world, now, sink);
+            step(&self.exp, &mut self.world, sink);
             self.events += 1;
         }
     }
 
     /// Drain the calendar completely (the final epoch).
     pub fn run_to_completion<S: TelemetrySink + ?Sized>(&mut self, sink: &mut S) {
-        while let Some(fired) = self.world.queue.pop() {
-            let now = fired.time;
-            dispatch(&self.exp, &mut self.world, fired.payload, now, sink);
-            effects::apply(&self.exp, &mut self.world, now, sink);
+        while step(&self.exp, &mut self.world, sink) {
             self.events += 1;
         }
     }
