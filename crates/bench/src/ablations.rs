@@ -3,6 +3,7 @@
 //! meter overhead accounting — plus model ablations for the design
 //! choices called out in DESIGN.md.
 
+use crate::par_map;
 use crate::report::{row, Report};
 use crate::scenarios::{
     foregrounds, run_cell, run_cell_traced, standard_scenario, DEFAULT_DAY_S, DEFAULT_SEED,
@@ -38,26 +39,11 @@ pub fn fig14(day_s: f64, seed: u64) -> Report {
         &w,
     ));
     let mut out = Vec::new();
-    let results: Vec<_> = std::thread::scope(|s| {
-        // Collecting the handles before joining is load-bearing:
-        // it spawns every job before any join, which is what runs
-        // the cells in parallel rather than one at a time.
-        #[allow(clippy::needless_collect)]
-        let handles: Vec<_> = foregrounds()
-            .into_iter()
-            .map(|b| {
-                s.spawn(move || {
-                    let nameko = run_cell(SystemVariant::Nameko, b.clone(), day_s, seed);
-                    let amoeba = run_cell_traced(SystemVariant::Amoeba, b.clone(), day_s, seed);
-                    let nom = run_cell_traced(SystemVariant::AmoebaNoM, b.clone(), day_s, seed);
-                    (b.name, nameko, amoeba, nom)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("run"))
-            .collect()
+    let results = par_map(foregrounds(), |b| {
+        let nameko = run_cell(SystemVariant::Nameko, b.clone(), day_s, seed);
+        let amoeba = run_cell_traced(SystemVariant::Amoeba, b.clone(), day_s, seed);
+        let nom = run_cell_traced(SystemVariant::AmoebaNoM, b.clone(), day_s, seed);
+        (b.name, nameko, amoeba, nom)
     });
     for (name, nameko, (amoeba, amoeba_trace), (nom, nom_trace)) in results {
         let base = &nameko.services[0].usage;
@@ -186,62 +172,47 @@ pub fn fig15(seed: u64) -> Report {
         &w,
     ));
     let mut out = Vec::new();
-    let results: Vec<_> = std::thread::scope(|s| {
-        // Collecting the handles before joining is load-bearing:
-        // it spawns every job before any join, which is what runs
-        // the cells in parallel rather than one at a time.
-        #[allow(clippy::needless_collect)]
-        let handles: Vec<_> = foregrounds()
-            .into_iter()
-            .map(|b| {
-                s.spawn(move || {
-                    // Background contention: the standard §VII-A trio at a
-                    // flat mid-day level.
-                    let scenario = standard_scenario(b.clone(), DEFAULT_DAY_S);
-                    let background: Vec<(MicroserviceSpec, f64)> = scenario[1..]
-                        .iter()
-                        .map(|s| (s.spec.clone(), s.spec.peak_qps * 0.7))
-                        .collect();
-                    // λ_real by enumeration on the actual platform.
-                    let lambda_real = max_steady_qps(
-                        &b,
-                        SystemVariant::OpenWhisk,
-                        cfg,
-                        &background,
-                        b.peak_qps * 0.05,
-                        b.peak_qps,
-                        seed,
-                    );
-                    // Pressures, weights and observed service times under
-                    // the *same* flat background the enumeration used —
-                    // what the monitor would report in that steady state.
-                    let (observed, pressures, weights_amoeba) =
-                        crate::steady::steady_probe(&b, 2.0, cfg, &background, seed);
-                    // Predicted switch points, self-consistently including
-                    // the candidate's own pressure contribution.
-                    let mut ctl = DeploymentController::new(ControllerConfig::default());
-                    ctl.register(model_for(&b, &cfg));
-                    // Calibrate the gain from the platform's real service
-                    // time at this pressure (the runtime does this
-                    // continuously from live/shadow queries).
-                    if observed > 0.0 {
-                        for _ in 0..50 {
-                            ctl.observe_service_time(0, observed, pressures, weights_amoeba);
-                        }
-                    }
-                    let lambda_amoeba = ctl.admissible_load(0, pressures, weights_amoeba);
-                    // NoM: uniform weights, no gain calibration.
-                    let mut ctl_nom = DeploymentController::new(ControllerConfig::default());
-                    ctl_nom.register(model_for(&b, &cfg));
-                    let lambda_nom = ctl_nom.admissible_load(0, pressures, [1.0; 3]);
-                    (b.name, lambda_real, lambda_amoeba, lambda_nom)
-                })
-            })
+    let results = par_map(foregrounds(), |b| {
+        // Background contention: the standard §VII-A trio at a
+        // flat mid-day level.
+        let scenario = standard_scenario(b.clone(), DEFAULT_DAY_S);
+        let background: Vec<(MicroserviceSpec, f64)> = scenario[1..]
+            .iter()
+            .map(|s| (s.spec.clone(), s.spec.peak_qps * 0.7))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("run"))
-            .collect()
+        // λ_real by enumeration on the actual platform.
+        let lambda_real = max_steady_qps(
+            &b,
+            SystemVariant::OpenWhisk,
+            cfg,
+            &background,
+            b.peak_qps * 0.05,
+            b.peak_qps,
+            seed,
+        );
+        // Pressures, weights and observed service times under
+        // the *same* flat background the enumeration used —
+        // what the monitor would report in that steady state.
+        let (observed, pressures, weights_amoeba) =
+            crate::steady::steady_probe(&b, 2.0, cfg, &background, seed);
+        // Predicted switch points, self-consistently including
+        // the candidate's own pressure contribution.
+        let mut ctl = DeploymentController::new(ControllerConfig::default());
+        ctl.register(model_for(&b, &cfg));
+        // Calibrate the gain from the platform's real service
+        // time at this pressure (the runtime does this
+        // continuously from live/shadow queries).
+        if observed > 0.0 {
+            for _ in 0..50 {
+                ctl.observe_service_time(0, observed, pressures, weights_amoeba);
+            }
+        }
+        let lambda_amoeba = ctl.admissible_load(0, pressures, weights_amoeba);
+        // NoM: uniform weights, no gain calibration.
+        let mut ctl_nom = DeploymentController::new(ControllerConfig::default());
+        ctl_nom.register(model_for(&b, &cfg));
+        let lambda_nom = ctl_nom.admissible_load(0, pressures, [1.0; 3]);
+        (b.name, lambda_real, lambda_amoeba, lambda_nom)
     });
     for (name, real, amoeba, nom) in results {
         let err = |pred: f64| {
@@ -291,25 +262,10 @@ pub fn fig16(day_s: f64, seed: u64) -> Report {
         &w,
     ));
     let mut out = Vec::new();
-    let results: Vec<_> = std::thread::scope(|s| {
-        // Collecting the handles before joining is load-bearing:
-        // it spawns every job before any join, which is what runs
-        // the cells in parallel rather than one at a time.
-        #[allow(clippy::needless_collect)]
-        let handles: Vec<_> = foregrounds()
-            .into_iter()
-            .map(|b| {
-                s.spawn(move || {
-                    let nop = run_cell_traced(SystemVariant::AmoebaNoP, b.clone(), day_s, seed);
-                    let amoeba = run_cell(SystemVariant::Amoeba, b.clone(), day_s, seed);
-                    (b.name, nop, amoeba)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("run"))
-            .collect()
+    let results = par_map(foregrounds(), |b| {
+        let nop = run_cell_traced(SystemVariant::AmoebaNoP, b.clone(), day_s, seed);
+        let amoeba = run_cell(SystemVariant::Amoeba, b.clone(), day_s, seed);
+        (b.name, nop, amoeba)
     });
     for (name, (nop, nop_trace), amoeba) in results {
         let v_nop = nop.services[0].violation_ratio();

@@ -2,6 +2,7 @@
 //! billing, the vendor-level multi-tenant view, and ablations of design
 //! choices DESIGN.md calls out (prewarm sizing, percentile estimator).
 
+use crate::par_map;
 use crate::report::{row, Report};
 use crate::scenarios::{
     foregrounds, run_cell, run_cell_traced, standard_scenario, DEFAULT_DAY_S, DEFAULT_SEED,
@@ -34,26 +35,11 @@ pub fn cost(day_s: f64, seed: u64) -> Report {
         &w,
     ));
     let mut out = Vec::new();
-    let results: Vec<_> = std::thread::scope(|s| {
-        // Collecting the handles before joining is load-bearing:
-        // it spawns every job before any join, which is what runs
-        // the cells in parallel rather than one at a time.
-        #[allow(clippy::needless_collect)]
-        let handles: Vec<_> = foregrounds()
-            .into_iter()
-            .map(|b| {
-                s.spawn(move || {
-                    let amoeba = run_cell(SystemVariant::Amoeba, b.clone(), day_s, seed);
-                    let nameko = run_cell(SystemVariant::Nameko, b.clone(), day_s, seed);
-                    let ow = run_cell(SystemVariant::OpenWhisk, b.clone(), day_s, seed);
-                    (b.name, amoeba, nameko, ow)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("run"))
-            .collect()
+    let results = par_map(foregrounds(), |b| {
+        let amoeba = run_cell(SystemVariant::Amoeba, b.clone(), day_s, seed);
+        let nameko = run_cell(SystemVariant::Nameko, b.clone(), day_s, seed);
+        let ow = run_cell(SystemVariant::OpenWhisk, b.clone(), day_s, seed);
+        (b.name, amoeba, nameko, ow)
     });
     for (name, amoeba, nameko, ow) in results {
         // Scale the compressed day's bill to a real 24h day so the
@@ -180,32 +166,16 @@ pub fn ablation_prewarm(day_s: f64, seed: u64) -> Report {
         &w,
     ));
     let spec = amoeba_workload::benchmarks::float();
-    let runs: Vec<_> = std::thread::scope(|s| {
-        // Collecting the handles before joining is load-bearing:
-        // it spawns every job before any join, which is what runs
-        // the cells in parallel rather than one at a time.
-        #[allow(clippy::needless_collect)]
-        let handles: Vec<_> = [0.25, 0.5, 1.0, 2.0, 4.0]
-            .into_iter()
-            .map(|factor| {
-                let spec = spec.clone();
-                s.spawn(move || {
-                    let exp = Experiment::builder(
-                        SystemVariant::Amoeba,
-                        SimDuration::from_secs_f64(day_s),
-                        seed,
-                    )
-                    .services(standard_scenario(spec, day_s))
-                    .prewarm_factor(factor)
-                    .build();
-                    (factor, exp.run())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("run"))
-            .collect()
+    let runs = par_map([0.25, 0.5, 1.0, 2.0, 4.0], |factor| {
+        let exp = Experiment::builder(
+            SystemVariant::Amoeba,
+            SimDuration::from_secs_f64(day_s),
+            seed,
+        )
+        .services(standard_scenario(spec.clone(), day_s))
+        .prewarm_factor(factor)
+        .build();
+        (factor, exp.run())
     });
     let base_cpu = runs
         .iter()

@@ -5,6 +5,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::par_map;
 use crate::report::{row, Report};
 use crate::scenarios::standard_scenario;
 use amoeba_core::{Experiment, RunResult, SystemVariant};
@@ -169,18 +170,9 @@ pub fn forecast(day_s: f64, seed: u64) -> Report {
     let jobs: Vec<(SystemVariant, u64)> = (0..SEEDS)
         .flat_map(|i| variants.map(|v| (v, seed + i)))
         .collect();
-    let runs: Vec<(SystemVariant, u64, RunResult, Trace)> = std::thread::scope(|s| {
-        let handles: Vec<_> = jobs
-            .iter()
-            .map(|&(v, sd)| s.spawn(move || comparison_run(v, day_s, sd)))
-            .collect();
-        jobs.iter()
-            .zip(handles)
-            .map(|(&(v, sd), h)| {
-                let (run, trace) = h.join().unwrap();
-                (v, sd, run, trace)
-            })
-            .collect()
+    let runs: Vec<(SystemVariant, u64, RunResult, Trace)> = par_map(&jobs, |&(v, sd)| {
+        let (run, trace) = comparison_run(v, day_s, sd);
+        (v, sd, run, trace)
     });
 
     r.line("");

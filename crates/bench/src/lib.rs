@@ -25,3 +25,23 @@ pub mod workflow;
 
 pub use report::Report;
 pub use scenarios::{standard_scenario, DEFAULT_DAY_S, DEFAULT_SEED};
+
+/// Run `f` on every item, one scoped thread per item, and return the
+/// results in input order. Every job is spawned before any is joined,
+/// so the items run concurrently.
+pub fn par_map<T: Send, R: Send>(
+    items: impl IntoIterator<Item = T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let f = &f;
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for item in items {
+            handles.push(scope.spawn(move || f(item)));
+        }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("parallel job panicked"))
+            .collect()
+    })
+}

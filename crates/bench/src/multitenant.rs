@@ -11,6 +11,7 @@
 //! fraction of switch requests that fire in lock-step with another
 //! tenant's.
 
+use crate::par_map;
 use crate::report::{row, Report};
 use amoeba_core::{Experiment, RunResult, SystemVariant};
 use amoeba_json::json;
@@ -106,18 +107,8 @@ pub fn multitenant(day_s: f64, seed: u64, tenants: usize, ratios: &[f64]) -> Rep
         .iter()
         .flat_map(|&q| variants.iter().map(move |&(v, l, j)| (q, v, l, j)))
         .collect();
-    let runs: Vec<(RunResult, Trace)> = std::thread::scope(|scope| {
-        // Collecting the handles before joining is load-bearing:
-        // it spawns every job before any join, which is what runs
-        // the cells in parallel rather than one at a time.
-        #[allow(clippy::needless_collect)]
-        let handles: Vec<_> = jobs
-            .iter()
-            .map(|&(q, v, _, j)| {
-                scope.spawn(move || multitenant_cell(v, q, tenants, day_s, seed, j))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let runs: Vec<(RunResult, Trace)> = par_map(&jobs, |&(q, v, _, j)| {
+        multitenant_cell(v, q, tenants, day_s, seed, j)
     });
 
     r.line(format!(

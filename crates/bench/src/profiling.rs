@@ -1,6 +1,7 @@
 //! §IV-B profiling artefacts: Fig. 8 meter curves and Fig. 9 latency
 //! surfaces.
 
+use crate::par_map;
 use crate::report::{row, Report};
 use amoeba_core::profiler::profile_meter_empirical;
 use amoeba_json::json;
@@ -49,24 +50,10 @@ pub fn fig8(seed: u64) -> Report {
     };
     let sweep = [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9];
     let mut out = Vec::new();
-    let results: Vec<_> = std::thread::scope(|s| {
-        // Collecting the handles before joining is load-bearing:
-        // it spawns every job before any join, which is what runs
-        // the cells in parallel rather than one at a time.
-        #[allow(clippy::needless_collect)]
-        let handles: Vec<_> = (0..3)
-            .map(|res| {
-                s.spawn(move || {
-                    let analytic = meter_curve_analytic(&cfg, res);
-                    let measured = profile_meter_empirical(&cfg, res, &sweep, 12, seed);
-                    (res, analytic, measured)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("run"))
-            .collect()
+    let results = par_map(0..3, |res| {
+        let analytic = meter_curve_analytic(&cfg, res);
+        let measured = profile_meter_empirical(&cfg, res, &sweep, 12, seed);
+        (res, analytic, measured)
     });
     let w = [10, 12, 14];
     for (res, analytic, measured) in results {
