@@ -145,14 +145,9 @@ mod tests {
 
     #[test]
     fn an_event_due_at_an_arrival_runs_first() {
-        let seen = trace(vec![schedule(1, 10)], vec![(t(1), 20), (t(2), 21)]);
-        assert_eq!(seen, [(t(1), 10), (t(1), 20), (t(2), 21)]);
-    }
-
-    #[test]
-    fn an_arrival_before_an_event_runs_first() {
-        let seen = trace(vec![schedule(2, 10)], vec![(t(1), 20)]);
-        assert_eq!(seen, [(t(1), 20), (t(2), 10)]);
+        let initial = vec![schedule(1, 10), schedule(3, 11)];
+        let seen = trace(initial, vec![(t(1), 20), (t(2), 21)]);
+        assert_eq!(seen, [(t(1), 10), (t(1), 20), (t(2), 21), (t(3), 11)]);
     }
 
     #[test]
@@ -209,21 +204,5 @@ mod tests {
                 }
             )]
         );
-    }
-
-    #[test]
-    fn a_declined_event_schedules_nothing() {
-        let mut fired = 0;
-        let mut driver = Driver::new(|_, _| {});
-        driver.apply(SimTime::ZERO, (), vec![schedule(1, 0)]);
-        driver.run(std::iter::empty::<(SimTime, ())>(), |now, step| {
-            fired += 1;
-            match step {
-                // The first firing re-arms itself once; the second declines.
-                Step::Event((), _) if now == t(1) => ((), vec![schedule(1, 0)]),
-                _ => ((), Vec::new()),
-            }
-        });
-        assert_eq!(fired, 2);
     }
 }
