@@ -106,14 +106,14 @@ impl Filler {
 
     /// Filler arrivals at deterministic uniform spacing (a steady
     /// pressure plateau, not Poisson noise) from 2 s until `horizon`.
-    fn arrivals(&self, horizon: SimTime) -> Vec<(SimTime, ServiceId, u64)> {
+    fn arrivals(&self, horizon: SimTime) -> Vec<(SimTime, (ServiceId, u64))> {
         let mut arrivals = Vec::new();
         if self.qps > 0.0 {
             let gap = SimDuration::from_secs_f64(1.0 / self.qps);
             let mut t = SimTime::ZERO + SimDuration::from_secs(2);
             let mut id = 0u64;
             while t < horizon {
-                arrivals.push((t, self.id, (1 << 40) | id));
+                arrivals.push((t, (self.id, (1 << 40) | id)));
                 id += 1;
                 t += gap;
             }
@@ -123,24 +123,23 @@ impl Filler {
 }
 
 /// Drive `platform` from time zero: apply the `initial` effects, then
-/// submit every arrival `(time, service, query id)`. Warm pools are
+/// submit every arrival `(time, (service, query id))`. Warm pools are
 /// kept alive until `horizon`; every completion goes to `on_complete`.
 fn drive(
     platform: &mut ServerlessPlatform,
     rng: &mut SimRng,
     initial: Vec<Effect>,
-    mut arrivals: Vec<(SimTime, ServiceId, u64)>,
+    mut arrivals: Vec<(SimTime, (ServiceId, u64))>,
     horizon: SimTime,
     mut on_complete: impl FnMut(QueryOutcome),
 ) {
-    arrivals.sort_by_key(|&(t, _, id)| (t, id));
+    arrivals.sort_by_key(|&(t, (_, id))| (t, id));
     let mut driver = Driver::new(|_, effect| {
         if let Effect::Completed(o) = effect {
             on_complete(o);
         }
     });
     driver.apply(SimTime::ZERO, (), initial);
-    let arrivals = arrivals.into_iter().map(|(t, sid, id)| (t, (sid, id)));
     driver.run(arrivals, |now, step| match step {
         Step::Arrival((service, id)) => {
             let query = Query {
@@ -188,7 +187,7 @@ pub fn measure_latency_under_pressure(
     let mut arrivals = filler.arrivals(horizon);
     for k in 0..probes {
         let t = t0 + warmup + probe_gap * k as u64;
-        arrivals.push((t, subject_id, k as u64));
+        arrivals.push((t, (subject_id, k as u64)));
     }
 
     let mut latencies: Vec<f64> = Vec::new();
@@ -269,7 +268,7 @@ pub fn measure_p95_at_load(
             if t >= horizon {
                 break;
             }
-            arrivals.push((t, subject_id, id));
+            arrivals.push((t, (subject_id, id)));
             id += 1;
         }
     }
