@@ -20,9 +20,10 @@
 use amoeba::core::{Experiment, ServiceSetup, SystemVariant};
 use amoeba::fleet::FleetRun;
 use amoeba::sim::SimDuration;
+use amoeba::telemetry::Trace;
 use amoeba::workload::{benchmarks, DiurnalPattern, LoadTrace};
 use amoeba_chaos::FaultPlan;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The fixture scenario: one foreground service (float at a quarter of
 /// its benchmark peak, so fixtures stay small) plus two low-peak
@@ -77,6 +78,18 @@ fn fixture_path(variant: SystemVariant, faulty: bool) -> PathBuf {
         .join(format!("{stem}_{suffix}.jsonl"))
 }
 
+/// The committed fixture is also a decoder corpus: every line must
+/// decode through [`Trace::from_jsonl`] and re-encode to the same bytes.
+fn assert_decodes(path: &Path, text: &str) {
+    let trace = Trace::from_jsonl(text)
+        .unwrap_or_else(|e| panic!("{} does not decode: {e}", path.display()));
+    assert!(
+        trace.to_jsonl() == text,
+        "{} does not re-encode byte for byte",
+        path.display()
+    );
+}
+
 fn check(variant: SystemVariant, faulty: bool) {
     let plan = faulty.then(level1_plan);
     let got = traced_jsonl(variant, plan);
@@ -92,6 +105,7 @@ fn check(variant: SystemVariant, faulty: bool) {
             path.display()
         )
     });
+    assert_decodes(&path, &want);
     if got != want {
         // Locate the first divergent line for a readable failure.
         let (mut line, mut shown) = (0usize, String::new());

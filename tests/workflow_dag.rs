@@ -7,6 +7,7 @@
 use amoeba::chaos::FaultPlan;
 use amoeba::core::{Experiment, ServiceSetup, SystemVariant, WorkflowSetup};
 use amoeba::sim::SimDuration;
+use amoeba::telemetry::Trace;
 use amoeba::workload::{
     benchmarks, DemandVector, DiurnalPattern, LoadTrace, MicroserviceSpec, WorkflowSpec,
 };
@@ -288,6 +289,15 @@ fn check_golden(suffix: &str, plan: Option<FaultPlan>) {
             path.display()
         )
     });
+    // The fixture is also a decoder corpus: it must decode and
+    // re-encode to the same bytes.
+    let decoded = Trace::from_jsonl(&want)
+        .unwrap_or_else(|e| panic!("{} does not decode: {e}", path.display()));
+    assert!(
+        decoded.to_jsonl() == want,
+        "{} does not re-encode byte for byte",
+        path.display()
+    );
     if got != want {
         let divergence = got
             .lines()
