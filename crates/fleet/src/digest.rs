@@ -8,9 +8,10 @@
 //! "byte-identical telemetry" collapses to one `u64` comparison while
 //! remaining sensitive to any reordering, insertion or field change.
 //! The bytes come from the streaming encoder
-//! (`TelemetryEvent::write_json`), written into one line buffer the
-//! sink reuses, so hashing an event allocates nothing once the buffer
-//! has grown to the longest line.
+//! (`TelemetryEvent::write_json`, generated with the rest of the codec
+//! from the telemetry crate's one schema declaration), written into one
+//! line buffer the sink reuses, so hashing an event allocates nothing
+//! once the buffer has grown to the longest line.
 
 use amoeba_telemetry::{TelemetryEvent, TelemetrySink};
 
@@ -31,11 +32,13 @@ pub fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
 /// A [`TelemetrySink`] that hashes instead of storing.
 ///
 /// Each event contributes the bytes `TelemetryEvent::write_json` writes
-/// (identical to `event.to_json().compact()`) plus a trailing newline —
-/// the exact line `Trace::to_jsonl` writes — so a `DigestSink` digest
-/// equals [`DigestSink::of_jsonl`] over the equivalent materialised
-/// trace. The line is encoded into a buffer kept across events and
-/// folded through [`fnv1a`]; no `Value` tree or `String` is built.
+/// plus a trailing newline — the exact line `Trace::to_jsonl` writes —
+/// so a `DigestSink` digest equals [`DigestSink::of_jsonl`] over the
+/// equivalent materialised trace. Both the encoder and the `to_json`
+/// tree it is tested against are generated from the one declaration of
+/// each record, so the bytes follow its key order. The line is encoded
+/// into a buffer kept across events and folded through [`fnv1a`]; no
+/// `Value` tree or `String` is built.
 #[derive(Debug, Clone)]
 pub struct DigestSink {
     state: u64,

@@ -4,21 +4,23 @@
 //! The simulation's control plane makes one QoS-critical decision per
 //! service per control tick, and executes a multi-stage protocol every
 //! time it switches a service between IaaS and serverless deployment.
-//! This crate records that activity as an append-only stream of typed
-//! [`TelemetryEvent`]s:
+//! This crate records that activity, and the platform, fault, workflow,
+//! multi-node, tenancy and fleet activity around it, as an append-only
+//! stream of typed [`TelemetryEvent`]s: a [`TelemetryEvent::RunStarted`]
+//! header, then 15 record kinds — [`TickRecord`], [`SwitchRecord`],
+//! [`HeartbeatRecord`], [`ViolationRecord`], [`WarmSampleRecord`],
+//! [`ForecastRecord`], [`FaultRecord`], [`RecoveryRecord`],
+//! [`StageSpanRecord`], [`PlacementRecord`], [`NodeUtilRecord`],
+//! [`AdmissionRecord`], [`VendorSampleRecord`], [`ShardSpanRecord`] and
+//! [`FleetSampleRecord`]. Switch steps reassemble into [`SwitchSpan`]s.
 //!
-//! - [`TickRecord`] — one per controller tick per managed service: the
-//!   estimated load λ, predicted latency μ, the Eq. 5 discriminant
-//!   λ(μ), the pressure vector and PCA weights that produced it, and
-//!   the decision with its reason.
-//! - [`SwitchRecord`] — one per stage of the switch protocol
-//!   (`Requested → Ack → Flip → ReleaseIssued → Drained`, or
-//!   `Aborted`), reassembled into [`SwitchSpan`]s with durations.
-//! - [`HeartbeatRecord`] — the contention monitor's smoothed meter
-//!   latencies, inverted pressures and current weights.
-//! - [`ViolationRecord`] — each QoS violation with its attributed
-//!   cause (cold start / queueing / contention).
-//! - [`WarmSampleRecord`] — warm serverless latency breakdowns.
+//! Each record and each closed vocabulary ([`Mode`], [`TickReason`], …)
+//! is declared once, in the `event` module. The structs, the JSON codec
+//! ([`TelemetryEvent::to_json`] / [`TelemetryEvent::from_json`]), the
+//! streaming encoder [`TelemetryEvent::write_json`] and the typed
+//! [`Trace`] iterators are all generated from that declaration, so a
+//! field is added, renamed or reordered in one place. The line format is
+//! documented in `DESIGN.md` ("Telemetry event schema").
 //!
 //! Producers write through the [`TelemetrySink`] trait. The default
 //! [`NoopSink`] reports `enabled() == false`, and instrumented code
@@ -26,17 +28,15 @@
 //! costs one branch and never allocates. [`MemorySink`] collects into a
 //! [`Trace`], which offers typed iterators, [`Trace::switch_spans`],
 //! [`Trace::summary`] and a JSON-lines serialisation
-//! ([`Trace::to_jsonl`] / [`Trace::from_jsonl`]). The line format is
-//! documented in `DESIGN.md` ("Telemetry event schema"). Lines are
-//! written by one streaming encoder, [`TelemetryEvent::write_json`],
-//! straight into a byte buffer; [`TelemetryEvent::to_json`] is the tree
-//! form the decoder reads.
+//! ([`Trace::to_jsonl`] / [`Trace::from_jsonl`]). Lines are written by
+//! [`TelemetryEvent::write_json`] straight into a byte buffer;
+//! [`TelemetryEvent::to_json`] is the tree form the decoder reads and
+//! the encoder's test oracle.
 
 mod encode;
 pub mod event;
 pub mod sink;
 pub mod trace;
-pub mod vocab;
 
 pub use event::{
     AdmissionRecord, DecodeError, FaultKind, FaultRecord, FleetSampleRecord, ForecastRecord,
