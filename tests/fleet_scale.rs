@@ -9,10 +9,12 @@
 //!
 //! The `#[ignore]`d test is the acceptance run: the full 1,000-service
 //! × 7-day fleet, digest-compared across 1/2/4/8 worker threads and
-//! against its pinned value, with wall-clocks printed. Run it explicitly:
+//! against its pinned value, with wall-clocks printed. It takes about
+//! 13 s in a release build on a 2-vCPU host but far longer in debug, so
+//! the debug test run skips it and CI runs it in release:
 //!
 //! ```text
-//! cargo test --release --test fleet_scale -- --ignored --nocapture
+//! cargo test --release --test fleet_scale -- --include-ignored --nocapture
 //! ```
 
 use amoeba::fleet::FleetSpec;
@@ -78,7 +80,7 @@ const FLEET_WEEK_DIGEST: u64 = 0xe439_01c4_926d_c3c7;
 /// at 1, 2, 4 and 8 worker threads. Prints per-thread wall-clocks so
 /// the scaling record in perfbench/BASELINE.json can be re-measured.
 #[test]
-#[ignore = "minutes-long; run with --ignored --nocapture"]
+#[ignore = "slow in debug builds; CI runs it in release with --include-ignored"]
 fn fleet_week_digest_identical_across_threads() {
     let spec = || {
         FleetSpec::new(2026)
